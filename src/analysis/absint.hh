@@ -254,7 +254,7 @@ const BasicBlock *containingBlock(const Cfg &cfg, uint32_t pc);
  * pc) with a tighter boundary state than the default all-unknown
  * AbsState::entry(). The speculation-safety analysis uses this to
  * bound master restart points by the sequential original program's
- * in-state at the corresponding pc (specsafe.hh); callers own the
+ * in-state at the corresponding pc (loadfacts.hh); callers own the
  * soundness argument for any state they seed.
  */
 AbsintResult

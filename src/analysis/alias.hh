@@ -11,7 +11,7 @@
  * tracks which FORK instruction started the region an instruction
  * executes in, so clients can ask whether a load and a store can ever
  * share a dynamic inter-fork span. The speculation-safety classifier
- * (analysis/specsafe.hh) is the primary consumer: a load with no
+ * (analysis/loadfacts.hh) is the primary consumer: a load with no
  * aliasing store at all is provably invariant; one whose aliasing
  * stores all live in *other* regions is invariant between fork
  * boundaries (DESIGN.md §5.3).

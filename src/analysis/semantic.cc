@@ -155,6 +155,27 @@ struct Sem
         return bb ? bb->start : UINT32_MAX;
     }
 
+    /** True when the edit log leaves original block @p ob nothing
+     *  that emits code with a register effect: every instruction is
+     *  removed, a hard-wired branch, or a plain jump. Such a block
+     *  may be laid out empty, with the addr map pointing at whatever
+     *  block follows it, so its distilled counterpart is the identity
+     *  on registers, not the code found at that address. */
+    bool
+    emittedEmpty(const BasicBlock &ob) const
+    {
+        for (size_t i = 0; i < ob.insts.size(); ++i) {
+            uint32_t pc = ob.pcOf(i);
+            const Instruction &inst = ob.insts[i];
+            bool plain_jump = inst.op == Opcode::Jal && inst.rd == 0;
+            if (!removedPcs.count(pc) && !branchEdits.count(pc) &&
+                !plain_jump) {
+                return false;
+            }
+        }
+        return true;
+    }
+
     bool isBranchEdit(const DistillEdit &e) const
     {
         return e.pass == DistillEdit::Pass::BranchPrune ||
@@ -762,7 +783,8 @@ Sem::classifyDceAndUnreachable()
 // End-to-end region check: push the same abstract entry state through
 // an edited original block and its distilled counterpart; any
 // recomputed live-out register constant on both sides with different
-// constants is a proven superimposition violation.
+// constants is a proven superimposition violation. A block the edit
+// log empties has the identity as its counterpart (emittedEmpty()).
 void
 Sem::compareRegions()
 {
@@ -811,14 +833,17 @@ Sem::compareRegions()
             }
             absStep(ob.pcOf(i), inst, st_o, &orig, &ai.stores);
         }
-        const BasicBlock &db = distCfg.blockAt(am->second);
-        for (size_t i = 0; i < db.insts.size(); ++i) {
-            const Instruction &inst = db.insts[i];
-            if ((inst.op == Opcode::Jal || inst.op == Opcode::Jalr) &&
-                inst.rd != 0) {
-                excused |= 1u << inst.rd;
+        if (!emittedEmpty(ob)) {
+            const BasicBlock &db = distCfg.blockAt(am->second);
+            for (size_t i = 0; i < db.insts.size(); ++i) {
+                const Instruction &inst = db.insts[i];
+                if ((inst.op == Opcode::Jal ||
+                     inst.op == Opcode::Jalr) &&
+                    inst.rd != 0) {
+                    excused |= 1u << inst.rd;
+                }
+                absStep(db.pcOf(i), inst, st_d, &orig, &ai.stores);
             }
-            absStep(db.pcOf(i), inst, st_d, &orig, &ai.stores);
         }
 
         auto live_it = origLive.find(start);

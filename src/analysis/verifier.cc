@@ -47,10 +47,6 @@ lintCheckName(LintCheck check)
       case LintCheck::SemanticUnreachable:
         return "semantic-unreachable";
       case LintCheck::EditMetadata: return "edit-metadata";
-      case LintCheck::SpecSafeMismatch: return "specsafe-mismatch";
-      case LintCheck::SpecSafeCoverage: return "specsafe-coverage";
-      case LintCheck::SpecPlanMismatch: return "specplan-mismatch";
-      case LintCheck::SpecPlanCoverage: return "specplan-coverage";
       case LintCheck::SpecEditMismatch: return "specedit-mismatch";
       case LintCheck::SpecEditCoverage: return "specedit-coverage";
     }

@@ -141,34 +141,8 @@ struct DistillEdit
 };
 
 /**
- * Speculation-safety class of one static load in a distilled image
- * (analysis/specsafe.hh, DESIGN.md §5.3). The future value-
- * speculating distiller may only bake in loads the classifier proved
- * invariant; the runtime recovers from the rest.
- */
-enum class LoadSpecClass : uint8_t
-{
-    /** No store in the analyzed image may alias the load: its value
-     *  can never change, on any execution. */
-    ProvablyInvariant,
-    /** Aliasing stores exist, but none shares a fork region with the
-     *  load — invariant between fork boundaries, not across them. */
-    RegionInvariant,
-    /** An aliasing store may execute in the load's own region (or
-     *  the address could not be proven at all). */
-    Risky,
-};
-
-/** Stable lower-case class name ("provably-invariant", ...). */
-const char *loadSpecClassName(LoadSpecClass cls);
-
-/** Parse a class name; @retval false when unknown. */
-bool loadSpecClassFromName(const std::string &name,
-                           LoadSpecClass &cls);
-
-/**
  * Proof strength of a predicted load value in a speculation plan
- * (analysis/valueflow.hh, DESIGN.md §5.4). Proven candidates may
+ * (analysis/loadfacts.hh, DESIGN.md §5.3). Proven candidates may
  * observe exactly one value on any execution of the merged image —
  * a dynamic counterexample fails the crossval gate outright; Likely
  * candidates have a small non-singleton feasible constant set.
@@ -184,26 +158,6 @@ const char *valueProofName(ValueProof proof);
 
 /** Parse a proof name; @retval false when unknown. */
 bool valueProofFromName(const std::string &name, ValueProof &proof);
-
-/**
- * One persisted speculation-plan candidate: a load the planner ranked
- * worth speculating, with its predicted value and proof strength
- * (.mdo format v4 `specplan` lines; the full derivation lives in
- * analysis/specplan.hh and is revalidated by mssp-lint --plan).
- */
-struct SpecPlanEntry
-{
-    uint32_t pc = 0;         ///< distilled PC of the load
-    ValueProof proof = ValueProof::Proven;
-    uint32_t value = 0;      ///< predicted value
-    /** Expected benefit score in micro-units (integer so the .mdo
-     *  round-trips byte-exactly; analysis/specplan.hh). */
-    uint64_t benefitMicro = 0;
-    /** Feasible constant set, ascending (singleton for Proven). */
-    std::vector<uint32_t> feasible;
-
-    bool operator==(const SpecPlanEntry &) const = default;
-};
 
 /**
  * One *speculated* edit: a load the value-speculating pass
@@ -228,7 +182,7 @@ struct SpecEdit
     ValueProof proof = ValueProof::Proven;
     /** The baked value. */
     uint32_t value = 0;
-    /** Planner benefit score (micro-units, from the plan entry). */
+    /** Planner benefit score (micro-units, from the plan candidate). */
     uint64_t benefitMicro = 0;
     /** Original fork-site PCs whose tasks verify the regions this
      *  load executes in — the sites whose squash rate the adaptation
@@ -328,26 +282,6 @@ struct DistilledProgram
     std::map<uint32_t, RegMask> checkpointRegs;
 
     /**
-     * Speculation-safety metadata: distilled PC of every static load
-     * in the image -> its invariance class, stamped by distill() from
-     * the store-set analysis (analysis/specsafe.hh) and persisted in
-     * the .mdo format (format v3). mssp-lint --specsafe recomputes
-     * the classification and rejects images whose persisted classes
-     * disagree (docs/LINT.md).
-     */
-    std::map<uint32_t, LoadSpecClass> loadClasses;
-
-    /**
-     * Speculation plan: the candidates the static planner ranked
-     * worth value-speculating, in rank order (highest benefit
-     * first), stamped by distill() from the value-flow analysis
-     * (analysis/specplan.hh) and persisted in the .mdo (format v4).
-     * mssp-lint --plan recomputes the plan and rejects images whose
-     * persisted candidates disagree (docs/LINT.md).
-     */
-    std::vector<SpecPlanEntry> specPlan;
-
-    /**
      * Speculated edits: the plan candidates distillSpeculated() baked
      * into the image, in bake order (plan rank order). Empty for
      * images the speculation pass never touched. Persisted as
@@ -396,11 +330,12 @@ DistilledProgram distill(const Program &orig,
 /**
  * Distill @p orig, then *value-speculate* the result
  * (distill/speculate.cc, DESIGN.md §13): bake every Proven (and,
- * optionally, high-benefit Likely) candidate of the image's
- * speculation plan into a load-immediate, re-run constant folding and
- * DCE over the shortened code, re-place fork boundaries, and stamp
- * fresh metadata. The returned image carries one SpecEdit per baked
- * load. Deterministic: same inputs produce byte-identical images.
+ * optionally, high-benefit Likely) candidate of the un-speculated
+ * image's speculation plan into a load-immediate, re-run constant
+ * folding and DCE over the shortened code, re-place fork boundaries,
+ * and stamp fresh metadata. The returned image carries one SpecEdit
+ * per baked load. Deterministic: same inputs produce byte-identical
+ * images.
  */
 DistilledProgram distillSpeculated(const Program &orig,
                                    const ProfileData &profile,
@@ -453,11 +388,11 @@ void runDistillPasses(DistillIr &ir, const ProfileData &profile,
                       const DistillerOptions &opts,
                       const Program &orig, DistillReport &report);
 
-/** The metadata tail of distill(): stamp checkpoint masks, per-edit
- *  region/live-out metadata, load classes and the speculation plan
- *  onto the laid-out @p out. @p cfg is the original program's CFG. */
-void finalizeDistilled(DistilledProgram &out, const Program &orig,
-                       const Cfg &cfg);
+/** The metadata tail of distill(): stamp checkpoint masks and
+ *  per-edit region/live-out metadata onto the laid-out @p out. @p cfg
+ *  is the original program's CFG. Load facts are not stamped; they
+ *  are computed on demand (analysis/loadfacts.hh). */
+void finalizeDistilled(DistilledProgram &out, const Cfg &cfg);
 
 } // namespace mssp
 

@@ -413,37 +413,6 @@ distillPassFromName(const std::string &name, DistillEdit::Pass &pass)
 }
 
 const char *
-loadSpecClassName(LoadSpecClass cls)
-{
-    switch (cls) {
-      case LoadSpecClass::ProvablyInvariant:
-        return "provably-invariant";
-      case LoadSpecClass::RegionInvariant:
-        return "region-invariant";
-      case LoadSpecClass::Risky:
-        return "risky";
-    }
-    return "?";
-}
-
-bool
-loadSpecClassFromName(const std::string &name, LoadSpecClass &cls)
-{
-    static constexpr LoadSpecClass kAll[] = {
-        LoadSpecClass::ProvablyInvariant,
-        LoadSpecClass::RegionInvariant,
-        LoadSpecClass::Risky,
-    };
-    for (LoadSpecClass c : kAll) {
-        if (name == loadSpecClassName(c)) {
-            cls = c;
-            return true;
-        }
-    }
-    return false;
-}
-
-const char *
 valueProofName(ValueProof proof)
 {
     switch (proof) {

@@ -2,14 +2,15 @@
  * @file
  * The value-speculating distiller pass (DESIGN.md §13).
  *
- * distill() stamps every image with a ranked speculation plan
- * (analysis/specplan.hh) but leaves the candidate loads in place;
- * distillSpeculated() consumes that plan and *bakes* the predicted
- * values in: each selected candidate's load becomes a load-immediate
- * of the predicted constant, constant folding and DCE re-run over the
- * now-shorter code (the address-computation chains feeding the baked
- * loads usually die, which is where the master's retired-instruction
- * win comes from), and the image is laid out and finalized afresh.
+ * distill() leaves every load in place; distillSpeculated() runs the
+ * load-fact analysis (analysis/loadfacts.hh) once on the
+ * un-speculated image, ranks its value facts into a speculation plan,
+ * and *bakes* the predicted values in: each selected candidate's load
+ * becomes a load-immediate of the predicted constant, constant
+ * folding and DCE re-run over the now-shorter code (the address-
+ * computation chains feeding the baked loads usually die, which is
+ * where the master's retired-instruction win comes from), and the
+ * image is laid out and finalized afresh.
  *
  * Every baked load is recorded as a SpecEdit carrying the distilled
  * PC of the baked constant (so mssp-lint can decode the image word
@@ -25,9 +26,7 @@
 
 #include <algorithm>
 
-#include "analysis/specplan.hh"
-#include "analysis/specsafe.hh"
-#include "analysis/valueflow.hh"
+#include "analysis/loadfacts.hh"
 #include "distill/distiller.hh"
 #include "sim/logging.hh"
 
@@ -85,25 +84,19 @@ distillSpeculated(const Program &orig, const ProfileData &profile,
     // pcOrigin maps them back to original loads, its region masks
     // decide which fork sites police each bake.
     DistilledProgram base = layout(ir, report);
-    finalizeDistilled(base, orig, cfg);
+    finalizeDistilled(base, cfg);
 
-    std::vector<analysis::SpecPlanCandidate> cands =
-        analysis::planSpeculation(orig, base);
+    analysis::LoadFacts facts = analysis::analyzeLoadFacts(orig, base);
+    analysis::SpecPlanReport plan =
+        analysis::specPlanReport(facts, base);
 
     std::vector<uint32_t> dropped = sopts.despeculated;
     std::sort(dropped.begin(), dropped.end());
     dropped.erase(std::unique(dropped.begin(), dropped.end()),
                   dropped.end());
 
-    // Fork-region in-state at every fork site's distilled block: a
-    // site polices a bake when the regions the load executes in can
-    // flow into the site's FORK, i.e. when the site's verify task is
-    // the one that squashes on a wrong prediction.
-    analysis::ValueFlowResult vf = analysis::analyzeValueFlow(
-        orig, base, analysis::classifySpecLoads(orig, base));
-
     std::vector<SpecEdit> edits;
-    for (const analysis::SpecPlanCandidate &c : cands) {
+    for (const analysis::SpecPlanCandidate &c : plan.candidates) {
         if (c.proof == ValueProof::Likely &&
             (!sopts.bakeLikely ||
              c.benefitMicro < sopts.minLikelyBenefitMicro)) {
@@ -133,12 +126,16 @@ distillSpeculated(const Program &orig, const ProfileData &profile,
         e.proof = c.proof;
         e.value = c.value;
         e.benefitMicro = c.benefitMicro;
+        // Fork-region in-state at every fork site's distilled block: a
+        // site polices a bake when the regions the load executes in
+        // can flow into the site's FORK, i.e. when the site's verify
+        // task is the one that squashes on a wrong prediction.
         for (uint32_t site : base.taskMap) {
             auto ep = base.entryMap.find(site);
             if (ep == base.entryMap.end())
                 continue;
-            auto rit = vf.blockRegions.find(ep->second);
-            if (rit != vf.blockRegions.end() &&
+            auto rit = facts.blockRegions.find(ep->second);
+            if (rit != facts.blockRegions.end() &&
                 analysis::regionsIntersect(rit->second, c.regions)) {
                 e.policedBy.push_back(site);
             }
@@ -162,7 +159,7 @@ distillSpeculated(const Program &orig, const ProfileData &profile,
     }
 
     DistilledProgram out = layout(ir, report);
-    finalizeDistilled(out, orig, cfg);
+    finalizeDistilled(out, cfg);
 
     // Locate each baked constant in the final image; an edit whose
     // load-immediate was itself folded away (its register became

@@ -19,129 +19,98 @@ namespace mssp
 namespace
 {
 
-/** Watches the SEQ replay and records, per tracked static load PC,
- *  the last value read — flagging any change. */
-class InvariantLoadWatcher : public SeqMachine::Observer
+/** The value a load just read: onStep fires post-instruction, so
+ *  it sits in rd. A load into r0 leaves no trace there, but also
+ *  cannot have clobbered rs1, so the address still reconstructs
+ *  exactly (tracked loads are never MMIO, so re-reading memory is
+ *  side-effect free). */
+uint32_t
+loadedValue(SeqMachine &machine, const StepResult &res)
+{
+    if (res.inst.rd != 0)
+        return machine.readReg(res.inst.rd);
+    return machine.state().readMem(machine.readReg(res.inst.rs1) +
+                                   res.inst.imm);
+}
+
+/** Watches the SEQ replay of the merged image and checks both load-
+ *  fact claims per static load PC: ProvablyInvariant loads never
+ *  change value, Proven value facts always read their prediction. */
+class LoadFactWatcher : public SeqMachine::Observer
 {
   public:
-    InvariantLoadWatcher(
-        SeqMachine &machine,
-        const std::vector<analysis::LoadClassification> &loads)
+    LoadFactWatcher(SeqMachine &machine,
+                    const analysis::LoadFacts &facts)
         : machine_(machine)
     {
-        for (const analysis::LoadClassification &c : loads) {
-            if (c.cls == LoadSpecClass::ProvablyInvariant)
-                last_[c.pc] = std::nullopt;
+        for (const analysis::LoadFact &f : facts.loads) {
+            bool invariant =
+                f.cls == analysis::LoadSpecClass::ProvablyInvariant;
+            if (!invariant && !f.value)
+                continue;
+            Tracked &t = tracked_[f.pc];
+            t.invariant = invariant;
+            t.fact = f.value ? &*f.value : nullptr;
+            result.invariantLoads += invariant;
         }
     }
-
-    size_t checkedLoads() const { return last_.size(); }
 
     void
     onStep(uint32_t pc, const StepResult &res) override
     {
         if (!isLoad(res.inst.op))
             return;
-        auto it = last_.find(pc);
-        if (it == last_.end())
+        auto it = tracked_.find(pc);
+        if (it == tracked_.end())
             return;
-        // onStep fires post-instruction: the loaded value sits in rd.
-        // A load into r0 leaves no trace there, but also cannot have
-        // clobbered rs1, so the address still reconstructs exactly
-        // (ProvablyInvariant loads are never MMIO, so re-reading
-        // memory is side-effect free).
-        uint32_t value;
-        if (res.inst.rd != 0) {
-            value = machine_.readReg(res.inst.rd);
-        } else {
-            uint32_t addr =
-                machine_.readReg(res.inst.rs1) + res.inst.imm;
-            value = machine_.state().readMem(addr);
-        }
-        result.observations++;
-        if (it->second && *it->second != value) {
-            result.valueChanges++;
-            if (result.firstViolation.empty()) {
-                result.firstViolation = strfmt(
-                    "load at 0x%x read 0x%x, previously 0x%x", pc,
-                    value, *it->second);
+        Tracked &t = it->second;
+        uint32_t value = loadedValue(machine_, res);
+        if (t.invariant) {
+            result.invariantObservations++;
+            if (t.last && *t.last != value) {
+                result.valueChanges++;
+                noteViolation(strfmt("load at 0x%x read 0x%x, "
+                                     "previously 0x%x",
+                                     pc, value, *t.last));
             }
+            t.last = value;
         }
-        it->second = value;
-    }
-
-    SpecSafeDynamicResult result;
-
-  private:
-    SeqMachine &machine_;
-    std::map<uint32_t, std::optional<uint32_t>> last_;
-};
-
-/** Watches the SEQ replay and scores every plan candidate's value
- *  prediction against the value its load actually reads. */
-class PlanPredictionWatcher : public SeqMachine::Observer
-{
-  public:
-    PlanPredictionWatcher(
-        SeqMachine &machine,
-        const std::vector<analysis::SpecPlanCandidate> &candidates)
-        : machine_(machine)
-    {
-        result.candidates.reserve(candidates.size());
-        for (const analysis::SpecPlanCandidate &c : candidates) {
-            index_[c.pc] = result.candidates.size();
-            result.candidates.push_back(
-                {c.pc, c.proof, c.value, 0, 0});
-        }
-    }
-
-    void
-    onStep(uint32_t pc, const StepResult &res) override
-    {
-        if (!isLoad(res.inst.op))
+        if (!t.fact)
             return;
-        auto it = index_.find(pc);
-        if (it == index_.end())
-            return;
-        // Same post-instruction read as InvariantLoadWatcher: rd
-        // holds the value; an r0 load leaves rs1 intact, so the
-        // address reconstructs (candidate loads are never MMIO, so
-        // re-reading is side-effect free).
-        uint32_t value;
-        if (res.inst.rd != 0) {
-            value = machine_.readReg(res.inst.rd);
-        } else {
-            uint32_t addr =
-                machine_.readReg(res.inst.rs1) + res.inst.imm;
-            value = machine_.state().readMem(addr);
-        }
-        SpecPlanCandidateDyn &dyn = result.candidates[it->second];
-        dyn.observations++;
-        bool hit = value == dyn.predicted;
-        if (hit)
-            dyn.hits++;
-        if (dyn.proof == ValueProof::Proven) {
+        bool hit = value == t.fact->value;
+        if (t.fact->proof == ValueProof::Proven) {
+            result.provenObservations++;
             if (!hit) {
                 result.provenMismatches++;
-                if (result.firstViolation.empty()) {
-                    result.firstViolation = strfmt(
-                        "proven candidate at 0x%x read 0x%x, "
-                        "predicted 0x%x",
-                        pc, value, dyn.predicted);
-                }
+                noteViolation(strfmt("proven value fact at 0x%x read "
+                                     "0x%x, predicted 0x%x",
+                                     pc, value, t.fact->value));
             }
         } else {
             result.likelyObservations++;
-            if (hit)
-                result.likelyHits++;
+            result.likelyHits += hit;
         }
     }
 
-    SpecPlanDynamicResult result;
+    LoadFactsDynamicResult result;
 
   private:
+    struct Tracked
+    {
+        bool invariant = false;
+        std::optional<uint32_t> last;   ///< invariant loads only
+        const analysis::LoadValueFact *fact = nullptr;
+    };
+
+    void
+    noteViolation(std::string what)
+    {
+        if (result.firstViolation.empty())
+            result.firstViolation = std::move(what);
+    }
+
     SeqMachine &machine_;
-    std::map<uint32_t, size_t> index_;
+    std::map<uint32_t, Tracked> tracked_;
 };
 
 /** Watches a SEQ replay of the *original* program and scores every
@@ -166,17 +135,7 @@ class SpecEditWatcher : public SeqMachine::Observer
         auto it = tracked_.find(pc);
         if (it == tracked_.end())
             return;
-        // Post-instruction read, as in the other watchers: rd holds
-        // the value; an r0 load leaves rs1 intact, so the address
-        // reconstructs (baked loads are never MMIO).
-        uint32_t value;
-        if (res.inst.rd != 0) {
-            value = machine_.readReg(res.inst.rd);
-        } else {
-            uint32_t addr =
-                machine_.readReg(res.inst.rs1) + res.inst.imm;
-            value = machine_.state().readMem(addr);
-        }
+        uint32_t value = loadedValue(machine_, res);
         result.observations++;
         bool hit = value == it->second.second;
         if (it->second.first == ValueProof::Proven) {
@@ -219,35 +178,19 @@ validateSpecEditsDynamic(const Program &orig,
     return watcher.result;
 }
 
-SpecPlanDynamicResult
-validateSpecPlanDynamic(
-    const Program &orig, const DistilledProgram &dist,
-    const std::vector<analysis::SpecPlanCandidate> &candidates,
-    uint64_t max_insts)
+LoadFactsDynamicResult
+validateLoadFactsDynamic(const Program &orig,
+                         const DistilledProgram &dist,
+                         const analysis::LoadFacts &facts,
+                         uint64_t max_insts)
 {
     SeqMachine machine(analysis::mergedImage(orig, dist));
-    PlanPredictionWatcher watcher(machine, candidates);
-    machine.setObserver(&watcher);
-    // Same bounded-window contract as validateSpecSafeDynamic: the
-    // replay need not halt cleanly, the budget bounds it either way.
-    machine.run(max_insts);
-    return watcher.result;
-}
-
-SpecSafeDynamicResult
-validateSpecSafeDynamic(
-    const Program &orig, const DistilledProgram &dist,
-    const std::vector<analysis::LoadClassification> &loads,
-    uint64_t max_insts)
-{
-    SeqMachine machine(analysis::mergedImage(orig, dist));
-    InvariantLoadWatcher watcher(machine, loads);
+    LoadFactWatcher watcher(machine, facts);
     machine.setObserver(&watcher);
     // The distilled program is an approximation; its raw SEQ replay
     // need not halt cleanly (it may fault or spin) — the instruction
     // budget bounds the observation window either way.
     machine.run(max_insts);
-    watcher.result.checkedLoads = watcher.checkedLoads();
     return watcher.result;
 }
 
@@ -265,9 +208,8 @@ std::string
 CrossValReport::toText() const
 {
     Table t({"workload", "ok", "edits", "proven", "risky", "unknown",
-             "sem-err", "div-squash", "loads PI/RI/R", "spec-err",
-             "pi-chg", "plan P/L", "plan-err", "pv-miss", "l-hit",
-             "consistent"});
+             "sem-err", "div-squash", "loads PI/RI/R", "pi-chg",
+             "plan P/L", "pv-miss", "l-hit", "consistent"});
     for (const CrossValRow &r : rows) {
         std::string lhit = "-";
         if (r.planLikelyObservations) {
@@ -284,11 +226,9 @@ CrossValReport::toText() const
                                      r.divergenceSquashes)),
                   strfmt("%zu/%zu/%zu", r.specProvablyInvariant,
                          r.specRegionInvariant, r.specRisky),
-                  strfmt("%zu", r.specErrors),
                   strfmt("%llu", static_cast<unsigned long long>(
                                      r.provInvariantValueChanges)),
                   strfmt("%zu/%zu", r.planProven, r.planLikely),
-                  strfmt("%zu", r.planErrors),
                   strfmt("%llu", static_cast<unsigned long long>(
                                      r.planProvenMismatches)),
                   lhit, r.consistent ? "yes" : "NO"});
@@ -322,14 +262,19 @@ crossValidate(double scale, const MsspConfig &cfg,
             row.unknown = sem.semantic.unknown();
             row.semanticErrors = sem.lint.errors();
 
+            analysis::LoadFacts facts = analysis::analyzeLoadFacts(
+                prepared.orig, prepared.dist);
             analysis::SpecSafeReport spec =
-                analysis::analyzeSpecSafe(prepared.orig,
-                                          prepared.dist);
+                analysis::specSafeReport(facts);
             row.specLoads = spec.loads.size();
             row.specProvablyInvariant = spec.provablyInvariant();
             row.specRegionInvariant = spec.regionInvariant();
             row.specRisky = spec.risky();
-            row.specErrors = spec.lint.errors();
+            analysis::SpecPlanReport plan =
+                analysis::specPlanReport(facts, prepared.dist);
+            row.planCandidates = plan.candidates.size();
+            row.planProven = plan.proven();
+            row.planLikely = plan.likely();
 
             WorkloadRun run =
                 runPrepared(wl.name, prepared, cfg, max_cycles);
@@ -338,23 +283,12 @@ crossValidate(double scale, const MsspConfig &cfg,
                 run.counters.tasksSquashedLiveIn +
                 run.counters.tasksSquashedWrongPc;
 
-            SpecSafeDynamicResult dyn = validateSpecSafeDynamic(
-                prepared.orig, prepared.dist, spec.loads);
+            LoadFactsDynamicResult dyn = validateLoadFactsDynamic(
+                prepared.orig, prepared.dist, facts);
             row.provInvariantValueChanges = dyn.valueChanges;
-
-            analysis::SpecPlanReport plan =
-                analysis::analyzeSpecPlan(prepared.orig,
-                                          prepared.dist);
-            row.planCandidates = plan.candidates.size();
-            row.planProven = plan.proven();
-            row.planLikely = plan.likely();
-            row.planErrors = plan.lint.errors();
-
-            SpecPlanDynamicResult pdyn = validateSpecPlanDynamic(
-                prepared.orig, prepared.dist, plan.candidates);
-            row.planProvenMismatches = pdyn.provenMismatches;
-            row.planLikelyObservations = pdyn.likelyObservations;
-            row.planLikelyHits = pdyn.likelyHits;
+            row.planProvenMismatches = dyn.provenMismatches;
+            row.planLikelyObservations = dyn.likelyObservations;
+            row.planLikelyHits = dyn.likelyHits;
 
             // The validator's claim is one-directional: a workload
             // whose edits are all Proven must not squash on
@@ -368,9 +302,7 @@ crossValidate(double scale, const MsspConfig &cfg,
             bool all_proven = row.proven == row.edits;
             row.consistent =
                 run.ok && (!all_proven || row.divergenceSquashes == 0)
-                && row.specErrors == 0
                 && row.provInvariantValueChanges == 0
-                && row.planErrors == 0
                 && row.planProvenMismatches == 0;
             return row;
         });

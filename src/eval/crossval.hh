@@ -11,20 +11,14 @@
  * divergence squashes falsifies the abstract interpreter (that is
  * the cross-validation gate in tests/test_crossval.cpp).
  *
- * The speculation-safety classifier (analysis/specsafe.hh) makes a
- * second falsifiable claim: a load classified ProvablyInvariant must
- * never observe a changed value at runtime. validateSpecSafeDynamic()
- * replays the merged image on SEQ, tracks every ProvablyInvariant
- * load's value per static PC, and counts changes — any nonzero count
- * falsifies the alias analysis and fails the gate outright.
- *
- * The speculation planner (analysis/specplan.hh) makes a third,
- * sharper claim: a Proven plan candidate predicts the exact value a
- * load reads, every time. validateSpecPlanDynamic() replays the
- * merged image on SEQ and compares every tracked load's observed
- * value against the plan's prediction — a single Proven mismatch
- * falsifies the value-flow analysis and fails the gate; Likely
- * candidates only accumulate an observed hit rate.
+ * The load-fact analysis (analysis/loadfacts.hh) makes two more
+ * falsifiable claims: a load classified ProvablyInvariant never
+ * observes a changed value at runtime, and a Proven value fact
+ * predicts the exact value its load reads, every time.
+ * validateLoadFactsDynamic() checks both in one SEQ replay of the
+ * merged image — any value change or Proven mismatch falsifies the
+ * analysis and fails the gate; Likely facts only accumulate an
+ * observed hit rate.
  */
 
 #ifndef MSSP_EVAL_CROSSVAL_HH
@@ -34,8 +28,7 @@
 #include <string>
 #include <vector>
 
-#include "analysis/specplan.hh"
-#include "analysis/specsafe.hh"
+#include "analysis/loadfacts.hh"
 #include "mssp/config.hh"
 
 namespace mssp
@@ -57,21 +50,19 @@ struct CrossValRow
      *  mismatch + wrong fork PC), not capacity effects. */
     uint64_t divergenceSquashes = 0;
 
-    // Speculation-safety load classification (analysis/specsafe.hh)
+    // Load-fact safety classes (analysis/loadfacts.hh)
     size_t specLoads = 0;
     size_t specProvablyInvariant = 0;
     size_t specRegionInvariant = 0;
     size_t specRisky = 0;
-    size_t specErrors = 0;  ///< metadata-validation findings (errors)
     /** Dynamic value changes observed at ProvablyInvariant loads.
      *  Any nonzero count falsifies the alias analysis. */
     uint64_t provInvariantValueChanges = 0;
 
-    // Speculation-plan value prediction (analysis/specplan.hh)
+    // The speculation plan ranked from the load facts' values
     size_t planCandidates = 0;
     size_t planProven = 0;
     size_t planLikely = 0;
-    size_t planErrors = 0;  ///< plan-metadata findings (errors)
     /** Observed values at Proven candidates that differed from the
      *  prediction. Any nonzero count falsifies the value-flow
      *  analysis. */
@@ -87,59 +78,32 @@ struct CrossValRow
     bool consistent = false;
 };
 
-/** What validateSpecSafeDynamic() observed. */
-struct SpecSafeDynamicResult
+/** What validateLoadFactsDynamic() observed. */
+struct LoadFactsDynamicResult
 {
-    size_t checkedLoads = 0;    ///< ProvablyInvariant static loads
-    uint64_t observations = 0;  ///< dynamic executions of those loads
-    uint64_t valueChanges = 0;  ///< value differed from last time
-    std::string firstViolation; ///< detail of the first change
+    size_t invariantLoads = 0;      ///< ProvablyInvariant static loads
+    uint64_t invariantObservations = 0;  ///< executions of those
+    uint64_t valueChanges = 0;      ///< value differed from last time
+    uint64_t provenObservations = 0;  ///< executions of Proven loads
+    uint64_t provenMismatches = 0;  ///< misses at Proven value facts
+    uint64_t likelyObservations = 0;
+    uint64_t likelyHits = 0;        ///< observed == predicted
+    std::string firstViolation;     ///< first change or mismatch
 };
 
 /**
  * Replay the merged image (original overlaid with the distilled
  * code, entry at the distilled entry) on the SEQ reference machine
- * for at most @p max_insts instructions and track the value every
- * ProvablyInvariant load in @p loads reads, per static PC. A change
- * between two dynamic executions of the same static load is a
- * counterexample to the classifier's invariance proof.
+ * for at most @p max_insts instructions and check @p facts against
+ * every value a tracked load reads, per static PC: a ProvablyInvariant
+ * load whose value changes between two executions is a counterexample
+ * to the classification, a Proven value fact reading anything but its
+ * prediction one to the value-flow solve. Likely facts accumulate
+ * their hit rate.
  */
-SpecSafeDynamicResult validateSpecSafeDynamic(
+LoadFactsDynamicResult validateLoadFactsDynamic(
     const Program &orig, const DistilledProgram &dist,
-    const std::vector<analysis::LoadClassification> &loads,
-    uint64_t max_insts = 20000000ull);
-
-/** One plan candidate's dynamic record. */
-struct SpecPlanCandidateDyn
-{
-    uint32_t pc = 0;
-    ValueProof proof = ValueProof::Proven;
-    uint32_t predicted = 0;
-    uint64_t observations = 0;
-    uint64_t hits = 0;          ///< observed value == predicted
-};
-
-/** What validateSpecPlanDynamic() observed. */
-struct SpecPlanDynamicResult
-{
-    std::vector<SpecPlanCandidateDyn> candidates; ///< plan order
-    uint64_t provenMismatches = 0;  ///< misses at Proven candidates
-    uint64_t likelyObservations = 0;
-    uint64_t likelyHits = 0;
-    std::string firstViolation; ///< first Proven mismatch, if any
-};
-
-/**
- * Replay the merged image on the SEQ reference machine for at most
- * @p max_insts instructions and compare the value every plan
- * candidate's load reads against its predicted value. A Proven
- * candidate observing a different value is a counterexample to the
- * value-flow analysis; Likely candidates merely accumulate their
- * observed hit rate.
- */
-SpecPlanDynamicResult validateSpecPlanDynamic(
-    const Program &orig, const DistilledProgram &dist,
-    const std::vector<analysis::SpecPlanCandidate> &candidates,
+    const analysis::LoadFacts &facts,
     uint64_t max_insts = 20000000ull);
 
 /** What validateSpecEditsDynamic() observed. */

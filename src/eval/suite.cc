@@ -3,8 +3,7 @@
 #include <functional>
 #include <ostream>
 
-#include "analysis/specplan.hh"
-#include "analysis/specsafe.hh"
+#include "analysis/loadfacts.hh"
 #include "analysis/verifier.hh"
 #include "eval/adapt.hh"
 #include "eval/crossval.hh"
@@ -58,6 +57,9 @@ SuiteReport::toJson() const
     out += "],\n \"eval\": [\n";
     for (size_t i = 0; i < workloads.size(); ++i) {
         const SuiteWorkloadResult &w = workloads[i];
+        // The specsafe/specplan "errors" fields counted findings of
+        // the metadata checks. Images persist no load facts since
+        // .mdo v6, so they are always 0 (kept for the schema).
         out += strfmt(
             "  {\"workload\": \"%s\", "
             "\"lint\": {\"errors\": %zu, \"warnings\": %zu}, "
@@ -65,9 +67,9 @@ SuiteReport::toJson() const
             "\"risky\": %zu, \"unknown\": %zu, \"errors\": %zu}, "
             "\"specsafe\": {\"loads\": %zu, "
             "\"provablyInvariant\": %zu, \"regionInvariant\": %zu, "
-            "\"risky\": %zu, \"errors\": %zu, \"violations\": %llu}, "
+            "\"risky\": %zu, \"errors\": 0, \"violations\": %llu}, "
             "\"specplan\": {\"candidates\": %zu, \"proven\": %zu, "
-            "\"likely\": %zu, \"errors\": %zu, "
+            "\"likely\": %zu, \"errors\": 0, "
             "\"provenMismatches\": %llu, "
             "\"likelyObservations\": %llu, \"likelyHits\": %llu, "
             "\"likelyHitRate\": %s}, "
@@ -87,10 +89,9 @@ SuiteReport::toJson() const
             w.name.c_str(), w.lintErrors, w.lintWarnings, w.edits,
             w.proven, w.risky, w.unknown, w.semanticErrors,
             w.specLoads, w.specProvablyInvariant,
-            w.specRegionInvariant, w.specRisky, w.specErrors,
+            w.specRegionInvariant, w.specRisky,
             static_cast<unsigned long long>(w.specViolations),
             w.planCandidates, w.planProven, w.planLikely,
-            w.planErrors,
             static_cast<unsigned long long>(w.planProvenMismatches),
             static_cast<unsigned long long>(
                 w.planLikelyObservations),
@@ -158,8 +159,8 @@ SuiteReport::summary() const
                   strfmt("%zu/%zu", w.proven, w.edits),
                   strfmt("%zu/%zu/%zu", w.specProvablyInvariant,
                          w.specRegionInvariant, w.specRisky),
-                  w.specErrors || w.specViolations
-                      ? strfmt("%zu err %llu viol", w.specErrors,
+                  w.specViolations
+                      ? strfmt("%llu viol",
                                static_cast<unsigned long long>(
                                    w.specViolations))
                       : "clean",
@@ -187,8 +188,8 @@ SuiteReport::summary() const
                   w.ok() ? "ok" : "FAIL"});
     }
     std::string s =
-        t.render("mssp-suite: distill + lint + semantic + specsafe "
-                 "+ specplan + run + crossval");
+        t.render("mssp-suite: distill + lint + semantic + load facts "
+                 "+ run + crossval");
     s += evalQuarantine.summary();
     s += "\n";
     s += campaign.summary();
@@ -244,31 +245,25 @@ runSuite(const SuiteOptions &opts, std::ostream *log)
             r.unknown = sem.semantic.unknown();
             r.semanticErrors = sem.lint.errors();
 
+            analysis::LoadFacts facts = analysis::analyzeLoadFacts(
+                prepared.orig, prepared.dist);
             analysis::SpecSafeReport spec =
-                analysis::analyzeSpecSafe(prepared.orig,
-                                          prepared.dist);
+                analysis::specSafeReport(facts);
             r.specLoads = spec.loads.size();
             r.specProvablyInvariant = spec.provablyInvariant();
             r.specRegionInvariant = spec.regionInvariant();
             r.specRisky = spec.risky();
-            r.specErrors = spec.lint.errors();
-            r.specViolations =
-                validateSpecSafeDynamic(prepared.orig, prepared.dist,
-                                        spec.loads)
-                    .valueChanges;
-
             analysis::SpecPlanReport plan =
-                analysis::analyzeSpecPlan(prepared.orig,
-                                          prepared.dist);
+                analysis::specPlanReport(facts, prepared.dist);
             r.planCandidates = plan.candidates.size();
             r.planProven = plan.proven();
             r.planLikely = plan.likely();
-            r.planErrors = plan.lint.errors();
-            SpecPlanDynamicResult pdyn = validateSpecPlanDynamic(
-                prepared.orig, prepared.dist, plan.candidates);
-            r.planProvenMismatches = pdyn.provenMismatches;
-            r.planLikelyObservations = pdyn.likelyObservations;
-            r.planLikelyHits = pdyn.likelyHits;
+            LoadFactsDynamicResult dyn = validateLoadFactsDynamic(
+                prepared.orig, prepared.dist, facts);
+            r.specViolations = dyn.valueChanges;
+            r.planProvenMismatches = dyn.provenMismatches;
+            r.planLikelyObservations = dyn.likelyObservations;
+            r.planLikelyHits = dyn.likelyHits;
 
             r.run = runPrepared(name, prepared, MsspConfig{},
                                 opts.runMaxCycles);
@@ -295,10 +290,6 @@ runSuite(const SuiteOptions &opts, std::ostream *log)
                     .errors() +
                 analysis::verifyDistilledSemantic(prepared.orig,
                                                   adapted.dist)
-                    .lint.errors() +
-                analysis::analyzeSpecSafe(prepared.orig, adapted.dist)
-                    .lint.errors() +
-                analysis::analyzeSpecPlan(prepared.orig, adapted.dist)
                     .lint.errors();
             r.specEditMismatches =
                 validateSpecEditsDynamic(prepared.orig, adapted.dist)

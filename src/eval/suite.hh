@@ -8,8 +8,9 @@
  *   distill   assemble + profile + distill (core/pipeline.hh)
  *   lint      structural verification (analysis/verifier.hh)
  *   semantic  translation validation of every distiller edit
- *   specsafe  load speculation-safety classes + metadata validation
- *   specplan  value-flow plan candidates + SEQ-replay hit rates
+ *   loadfacts one load-fact analysis (analysis/loadfacts.hh): safety
+ *             classes, plan candidates, and one SEQ replay for the
+ *             value-change and Proven-mismatch counts + hit rates
  *   run       full MSSP machine vs the sequential baseline
  *   speculate value-speculating distiller + squash-feedback
  *             adaptation (eval/adapt.hh): the converged image is
@@ -91,19 +92,17 @@ struct SuiteWorkloadResult
     size_t unknown = 0;
     size_t semanticErrors = 0;
 
-    // specsafe load classification (analysis/specsafe.hh)
+    // load-fact safety classes (analysis/loadfacts.hh)
     size_t specLoads = 0;
     size_t specProvablyInvariant = 0;
     size_t specRegionInvariant = 0;
     size_t specRisky = 0;
-    size_t specErrors = 0;        ///< metadata-validation findings
     uint64_t specViolations = 0;  ///< PI loads that changed value
 
-    // specplan value prediction (analysis/specplan.hh)
+    // the speculation plan ranked from the load facts' values
     size_t planCandidates = 0;
     size_t planProven = 0;
     size_t planLikely = 0;
-    size_t planErrors = 0;  ///< plan-metadata findings (errors)
     uint64_t planProvenMismatches = 0;  ///< Proven misses (gate: 0)
     uint64_t planLikelyObservations = 0;
     uint64_t planLikelyHits = 0;
@@ -130,8 +129,7 @@ struct SuiteWorkloadResult
     ok() const
     {
         return lintErrors == 0 && semanticErrors == 0 &&
-               specErrors == 0 && specViolations == 0 &&
-               planErrors == 0 && planProvenMismatches == 0 &&
+               specViolations == 0 && planProvenMismatches == 0 &&
                run.ok && consistent && specAdaptConverged &&
                specImageLintErrors == 0 && specEditMismatches == 0 &&
                specRun.ok;
@@ -159,10 +157,10 @@ struct SuiteReport
         return evalQuarantine.size() + campaign.quarantined();
     }
 
-    /** True when every stage of every workload passed: lint,
-     *  semantic and specsafe clean, run equivalent, crossval
-     *  consistent, campaign invariants held, every fault type
-     *  fired, and nothing was quarantined. */
+    /** True when every stage of every workload passed: lint and
+     *  semantic clean, load facts unfalsified, run equivalent,
+     *  crossval consistent, campaign invariants held, every fault
+     *  type fired, and nothing was quarantined. */
     bool ok() const;
 
     /** Deterministic JSON document (schema mssp-suite-v5; embeds the

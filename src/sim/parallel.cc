@@ -54,44 +54,34 @@ ThreadPool::runCollect(std::vector<std::function<void()>> jobs)
     std::vector<std::exception_ptr> errors(jobs.size());
     if (jobs.empty())
         return errors;
+    Batch batch{jobs, errors, {jobs.size()}};
     {
         MutexLock lock(m_);
-        // Publish the batch state *before* dealing indices: a worker
-        // still draining the previous batch may pop a new index the
-        // moment it hits a shard queue, and the shard mutex only
-        // orders it after the push below.
-        jobs_ = &jobs;
-        errors_ = &errors;
-        remaining_.store(jobs.size(), std::memory_order_release);
         ++batch_;
         // Deal indices round-robin: similar-cost neighbours spread
         // over all workers, stealing rebalances the rest.
         for (size_t i = 0; i < jobs.size(); ++i) {
             Shard &s = *shards_[i % shards_.size()];
             MutexLock qlock(s.m);
-            s.q.push_back(i);
+            s.q.push_back({&batch, i});
         }
     }
     wake_.notifyAll();
 
-    {
-        MutexLock lock(m_);
-        while (remaining_.load(std::memory_order_acquire) != 0)
-            done_.wait(m_);
-        jobs_ = nullptr;
-        errors_ = nullptr;
-    }
+    MutexLock lock(m_);
+    while (batch.remaining.load(std::memory_order_acquire) != 0)
+        done_.wait(m_);
     return errors;
 }
 
 bool
-ThreadPool::nextJob(unsigned self, size_t &idx)
+ThreadPool::nextJob(unsigned self, Task &task)
 {
     {
         Shard &own = *shards_[self];
         MutexLock lock(own.m);
         if (!own.q.empty()) {
-            idx = own.q.back();   // LIFO: most recently dealt, warm
+            task = own.q.back();   // LIFO: most recently dealt, warm
             own.q.pop_back();
             return true;
         }
@@ -100,7 +90,7 @@ ThreadPool::nextJob(unsigned self, size_t &idx)
         Shard &victim = *shards_[(self + off) % shards_.size()];
         MutexLock lock(victim.m);
         if (!victim.q.empty()) {
-            idx = victim.q.front();   // steal oldest: FIFO fairness
+            task = victim.q.front();   // steal oldest: FIFO fairness
             victim.q.pop_front();
             return true;
         }
@@ -109,18 +99,18 @@ ThreadPool::nextJob(unsigned self, size_t &idx)
 }
 
 void
-ThreadPool::execute(size_t idx,
-                    std::vector<std::function<void()>> &jobs,
-                    std::vector<std::exception_ptr> &errors)
+ThreadPool::execute(const Task &task)
 {
+    Batch &b = *task.batch;
     try {
-        jobs[idx]();
+        b.jobs[task.idx]();
     } catch (...) {
-        errors[idx] = std::current_exception();
+        b.errors[task.idx] = std::current_exception();
     }
-    if (remaining_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+    if (b.remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
         // Last job out: wake the caller. Taking the lock orders this
-        // notify after the caller's wait() registration.
+        // notify after the caller's wait() registration. The batch
+        // may be gone from here on; only pool members are touched.
         MutexLock lock(m_);
         done_.notifyAll();
     }
@@ -131,8 +121,6 @@ ThreadPool::workerMain(unsigned self)
 {
     uint64_t seen = 0;
     for (;;) {
-        std::vector<std::function<void()>> *jobs = nullptr;
-        std::vector<std::exception_ptr> *errors = nullptr;
         {
             MutexLock lock(m_);
             while (!stop_ && batch_ == seen)
@@ -140,17 +128,12 @@ ThreadPool::workerMain(unsigned self)
             if (stop_)
                 return;
             seen = batch_;
-            // Snapshot the batch arrays under the lock; run() only
-            // clears them after remaining_ hits zero, so they outlive
-            // every execute() of this batch.
-            jobs = jobs_;
-            errors = errors_;
         }
-        size_t idx;
-        while (nextJob(self, idx))
-            execute(idx, *jobs, *errors);
-        // Batch drained (for this worker). Other workers may still be
-        // executing; run() waits on remaining_, not on us.
+        Task task;
+        while (nextJob(self, task))
+            execute(task);
+        // Drained (for this worker). Other workers may still be
+        // executing; runCollect() waits on the batch, not on us.
     }
 }
 

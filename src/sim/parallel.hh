@@ -101,36 +101,48 @@ class ThreadPool
     runCollect(std::vector<std::function<void()>> jobs);
 
   private:
-    /** One worker's deque of pending job indices. */
+    /** One runCollect() call's jobs, owned by that call's frame. */
+    struct Batch
+    {
+        std::vector<std::function<void()>> &jobs;
+        std::vector<std::exception_ptr> &errors;
+        /** Jobs not yet finished. The caller returns (and the batch
+         *  dies) once it hits zero, so no worker touches a batch
+         *  after its own decrement. */
+        std::atomic<size_t> remaining;
+    };
+
+    /** One queued job: an index into the batch it belongs to. A
+     *  worker still draining one batch may pop a job of the next, so
+     *  every job carries its own batch rather than relying on a
+     *  per-batch snapshot. */
+    struct Task
+    {
+        Batch *batch;
+        size_t idx;
+    };
+
+    /** One worker's deque of pending jobs. */
     struct Shard
     {
         Mutex m;
-        std::deque<size_t> q MSSP_GUARDED_BY(m);
+        std::deque<Task> q MSSP_GUARDED_BY(m);
     };
 
     void workerMain(unsigned self);
     /** Pop from own back, else steal from a sibling's front. */
-    bool nextJob(unsigned self, size_t &idx);
-    /** Run job @p idx from the batch snapshot taken under m_. */
-    void execute(size_t idx, std::vector<std::function<void()>> &jobs,
-                 std::vector<std::exception_ptr> &errors);
+    bool nextJob(unsigned self, Task &task);
+    /** Run one job and retire it from its batch. */
+    void execute(const Task &task);
 
     std::vector<std::unique_ptr<Shard>> shards_;
     std::vector<std::thread> workers_;
 
     Mutex m_;
     CondVar wake_;                   ///< workers wait for a batch
-    CondVar done_;                   ///< run() waits for the drain
-    uint64_t batch_ MSSP_GUARDED_BY(m_) = 0;   ///< bumped per run()
+    CondVar done_;                   ///< runCollect() waits for a drain
+    uint64_t batch_ MSSP_GUARDED_BY(m_) = 0;   ///< bumped per batch
     bool stop_ MSSP_GUARDED_BY(m_) = false;
-    std::vector<std::function<void()>> *jobs_
-        MSSP_GUARDED_BY(m_) = nullptr;
-    std::vector<std::exception_ptr> *errors_
-        MSSP_GUARDED_BY(m_) = nullptr;
-    /** Jobs not yet finished in the current batch. Atomic, not
-     *  guarded: execute() decrements it outside m_ and the waiter
-     *  rechecks it under m_ after every done_ wakeup. */
-    std::atomic<size_t> remaining_{0};
 };
 
 /**

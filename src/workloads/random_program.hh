@@ -36,7 +36,7 @@ struct RandomProgramOptions
     /** Give every phase a read-only parameter word loaded at a fixed
      *  address each iteration. No store can reach the table, so the
      *  loads are value-invariant by construction — the non-vacuity
-     *  anchor for the speculation-safety fuzz gate (specsafe.hh). */
+     *  anchor for the load-fact fuzz gate (loadfacts.hh). */
     bool paramTable = true;
     /** Sprinkle non-idempotent device reads/writes into phase bodies
      *  (exercises the MMIO serialization path). */

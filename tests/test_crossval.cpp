@@ -27,23 +27,21 @@ TEST(CrossVal, StaticRiskConsistentWithDynamicSquashes)
         EXPECT_TRUE(r.ok) << r.name << " did not run to completion";
         EXPECT_EQ(r.semanticErrors, 0u) << r.name;
         EXPECT_EQ(r.proven + r.risky + r.unknown, r.edits) << r.name;
-        // Every static load carries a class, the persisted metadata
-        // re-validates, and no ProvablyInvariant load ever changed
-        // value during the SEQ replay — a nonzero count falsifies
-        // the alias analysis and is a test failure, not a warning.
+        // Every static load carries a class, and no ProvablyInvariant
+        // load ever changed value during the SEQ replay — a nonzero
+        // count falsifies the alias analysis and is a test failure,
+        // not a warning.
         EXPECT_GT(r.specLoads, 0u) << r.name;
         EXPECT_EQ(r.specProvablyInvariant + r.specRegionInvariant +
                       r.specRisky,
                   r.specLoads)
             << r.name;
-        EXPECT_EQ(r.specErrors, 0u) << r.name;
         EXPECT_EQ(r.provInvariantValueChanges, 0u)
             << r.name
             << ": a provably-invariant load changed value at runtime";
-        // The speculation plan re-validates and no Proven candidate
-        // ever read a value other than its prediction during the SEQ
-        // replay — one mismatch falsifies the value-flow analysis.
-        EXPECT_EQ(r.planErrors, 0u) << r.name;
+        // No Proven candidate ever read a value other than its
+        // prediction during the SEQ replay — one mismatch falsifies
+        // the value-flow analysis.
         EXPECT_EQ(r.planProvenMismatches, 0u)
             << r.name
             << ": a Proven plan candidate read an unpredicted value";

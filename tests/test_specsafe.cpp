@@ -1,18 +1,17 @@
 /**
  * @file
- * Unit tests for the speculation-safety classifier
- * (analysis/specsafe.hh): the three-way load lattice, interval
+ * Unit tests for the safety classes of the load-fact analysis
+ * (analysis/loadfacts.hh): the three-way load lattice, interval
  * overlap corner cases, fork-region reasoning, 100% coverage of
- * static loads, the persisted-metadata validation checks, and the
- * dynamic ProvablyInvariant value-change gate
- * (eval/crossval.hh validateSpecSafeDynamic).
+ * static loads, and the dynamic ProvablyInvariant value-change gate
+ * (eval/crossval.hh validateLoadFactsDynamic).
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 
-#include "analysis/specsafe.hh"
+#include "analysis/loadfacts.hh"
 #include "asm/assembler.hh"
 #include "core/pipeline.hh"
 #include "eval/crossval.hh"
@@ -24,10 +23,18 @@ namespace mssp
 namespace
 {
 
-using analysis::LoadClassification;
+using analysis::LoadFact;
+using analysis::LoadSpecClass;
 using analysis::SpecSafeReport;
+using analysis::analyzeLoadFacts;
 using analysis::analyzeSpecSafe;
-using analysis::classifySpecLoads;
+
+/** The facts of every static load of @p dist, ascending by PC. */
+std::vector<LoadFact>
+classify(const Program &prog, const DistilledProgram &dist)
+{
+    return analyzeLoadFacts(prog, dist).loads;
+}
 
 /** Distill with explicit fork sites and all approximating branch
  *  rewrites disabled (biasThreshold > 1 means no branch is ever
@@ -42,12 +49,12 @@ distillExact(const Program &prog, std::vector<uint32_t> sites = {})
     return distill(prog, prof, opts);
 }
 
-/** The classification of the (unique) load whose abstract address is
- *  the constant @p addr. */
-const LoadClassification *
-loadAt(const std::vector<LoadClassification> &loads, uint32_t addr)
+/** The facts of the (unique) load whose abstract address is the
+ *  constant @p addr. */
+const LoadFact *
+loadAt(const std::vector<LoadFact> &loads, uint32_t addr)
 {
-    for (const LoadClassification &c : loads) {
+    for (const LoadFact &c : loads) {
         if (c.addr.isConst() && c.addr.cval() == addr)
             return &c;
     }
@@ -65,8 +72,8 @@ TEST(SpecSafe, LoadWithNoAliasingStoreIsProvablyInvariant)
                             ".org 0x2000\n"
                             "cell: .word 7\n");
     DistilledProgram dist = distillExact(prog);
-    auto loads = classifySpecLoads(prog, dist);
-    const LoadClassification *c = loadAt(loads, 0x2000);
+    auto loads = classify(prog, dist);
+    const LoadFact *c = loadAt(loads, 0x2000);
     ASSERT_NE(c, nullptr);
     EXPECT_EQ(c->cls, LoadSpecClass::ProvablyInvariant);
     EXPECT_EQ(c->storePc, UINT32_MAX);
@@ -86,8 +93,8 @@ TEST(SpecSafe, KnownAliasingStoreInSharedRegionIsRisky)
                             ".org 0x2000\n"
                             "cell: .word 7\n");
     DistilledProgram dist = distillExact(prog);
-    auto loads = classifySpecLoads(prog, dist);
-    const LoadClassification *c = loadAt(loads, 0x2000);
+    auto loads = classify(prog, dist);
+    const LoadFact *c = loadAt(loads, 0x2000);
     ASSERT_NE(c, nullptr);
     EXPECT_EQ(c->cls, LoadSpecClass::Risky);
     // The counterexample names the store and its address interval.
@@ -119,14 +126,14 @@ TEST(SpecSafe, OffByOneIntervalOverlap)
                             ".org 0x2000\n"
                             "data: .word 11, 22, 33, 44\n");
     DistilledProgram dist = distillExact(prog);
-    auto loads = classifySpecLoads(prog, dist);
+    auto loads = classify(prog, dist);
 
-    const LoadClassification *below = loadAt(loads, 0x2000);
+    const LoadFact *below = loadAt(loads, 0x2000);
     ASSERT_NE(below, nullptr);
     EXPECT_EQ(below->cls, LoadSpecClass::ProvablyInvariant)
         << below->detail;
 
-    const LoadClassification *edge = loadAt(loads, 0x2001);
+    const LoadFact *edge = loadAt(loads, 0x2001);
     ASSERT_NE(edge, nullptr);
     EXPECT_EQ(edge->cls, LoadSpecClass::Risky) << edge->detail;
     ASSERT_NE(edge->storePc, UINT32_MAX);
@@ -161,8 +168,8 @@ TEST(SpecSafe, CrossForkStoreIsRegionInvariant)
     uint32_t loop_b = 0;
     ASSERT_TRUE(prog.lookupSymbol("loopB", loop_b));
     DistilledProgram dist = distillExact(prog, {loop_b});
-    auto loads = classifySpecLoads(prog, dist);
-    const LoadClassification *c = loadAt(loads, 0x2000);
+    auto loads = classify(prog, dist);
+    const LoadFact *c = loadAt(loads, 0x2000);
     ASSERT_NE(c, nullptr);
     EXPECT_EQ(c->cls, LoadSpecClass::RegionInvariant) << c->detail;
     ASSERT_NE(c->storePc, UINT32_MAX);
@@ -176,7 +183,7 @@ TEST(SpecSafe, EveryStaticLoadIsClassified)
     Program prog = assemble(test::biasedSumSource(150, 3));
     PreparedWorkload w = prepare(prog, prog,
                                  DistillerOptions::paperPreset());
-    auto loads = classifySpecLoads(w.orig, w.dist);
+    auto loads = classify(w.orig, w.dist);
     size_t static_loads = 0;
     for (const auto &[addr, word] : w.dist.prog.image()) {
         if (!isLoad(decode(word).op))
@@ -190,69 +197,6 @@ TEST(SpecSafe, EveryStaticLoadIsClassified)
     }
     EXPECT_EQ(loads.size(), static_loads);
     EXPECT_GT(static_loads, 0u);
-}
-
-TEST(SpecSafe, FreshDistillationValidatesClean)
-{
-    // distill() stamps the classes it computed; re-validation of an
-    // untampered image finds nothing.
-    Program prog = assemble(test::biasedSumSource(150, 3));
-    PreparedWorkload w = prepare(prog, prog,
-                                 DistillerOptions::paperPreset());
-    EXPECT_FALSE(w.dist.loadClasses.empty());
-    SpecSafeReport rep = analyzeSpecSafe(w.orig, w.dist);
-    EXPECT_EQ(rep.lint.errors(), 0u) << rep.lint.toText();
-}
-
-TEST(SpecSafe, TamperedClassIsAMismatchError)
-{
-    Program prog = assemble(test::biasedSumSource(150, 3));
-    PreparedWorkload w = prepare(prog, prog,
-                                 DistillerOptions::paperPreset());
-    ASSERT_FALSE(w.dist.loadClasses.empty());
-    auto it = w.dist.loadClasses.begin();
-    it->second = it->second == LoadSpecClass::Risky
-                     ? LoadSpecClass::ProvablyInvariant
-                     : LoadSpecClass::Risky;
-    SpecSafeReport rep = analyzeSpecSafe(w.orig, w.dist);
-    EXPECT_GT(rep.lint.errors(), 0u);
-    EXPECT_TRUE(std::any_of(
-        rep.lint.findings.begin(), rep.lint.findings.end(),
-        [](const analysis::Finding &f) {
-            return f.check == analysis::LintCheck::SpecSafeMismatch;
-        }))
-        << rep.lint.toText();
-}
-
-TEST(SpecSafe, MissingAndStaleMetadataAreCoverageErrors)
-{
-    Program prog = assemble(test::biasedSumSource(150, 3));
-    PreparedWorkload w = prepare(prog, prog,
-                                 DistillerOptions::paperPreset());
-    ASSERT_FALSE(w.dist.loadClasses.empty());
-
-    // A load whose classification was dropped from the image.
-    DistilledProgram missing = w.dist;
-    missing.loadClasses.erase(missing.loadClasses.begin());
-    SpecSafeReport rep1 = analyzeSpecSafe(w.orig, missing);
-    EXPECT_TRUE(std::any_of(
-        rep1.lint.findings.begin(), rep1.lint.findings.end(),
-        [](const analysis::Finding &f) {
-            return f.check == analysis::LintCheck::SpecSafeCoverage;
-        }))
-        << rep1.lint.toText();
-
-    // A classification for a pc where no load exists.
-    DistilledProgram stale = w.dist;
-    stale.loadClasses[0x7ffffffc] = LoadSpecClass::Risky;
-    SpecSafeReport rep2 = analyzeSpecSafe(w.orig, stale);
-    EXPECT_TRUE(std::any_of(
-        rep2.lint.findings.begin(), rep2.lint.findings.end(),
-        [](const analysis::Finding &f) {
-            return f.check == analysis::LintCheck::SpecSafeCoverage &&
-                   f.pc == 0x7ffffffc;
-        }))
-        << rep2.lint.toText();
 }
 
 TEST(SpecSafe, JsonReportIsDeterministicAndVersioned)
@@ -274,9 +218,8 @@ TEST(SpecSafeDynamic, ProvablyInvariantLoadsNeverChangeValue)
     Program prog = assemble(test::biasedSumSource(150, 3));
     PreparedWorkload w = prepare(prog, prog,
                                  DistillerOptions::paperPreset());
-    auto loads = classifySpecLoads(w.orig, w.dist);
-    SpecSafeDynamicResult dyn =
-        validateSpecSafeDynamic(w.orig, w.dist, loads);
+    LoadFactsDynamicResult dyn = validateLoadFactsDynamic(
+        w.orig, w.dist, analyzeLoadFacts(w.orig, w.dist));
     EXPECT_EQ(dyn.valueChanges, 0u) << dyn.firstViolation;
 }
 
@@ -299,9 +242,9 @@ TEST(SpecSafeDynamic, FalsePromotionIsCaughtAtRuntime)
                             ".org 0x2000\n"
                             "cell: .word 0\n");
     DistilledProgram dist = distillExact(prog);
-    auto loads = classifySpecLoads(prog, dist);
-    LoadClassification *counter = nullptr;
-    for (LoadClassification &c : loads) {
+    analysis::LoadFacts facts = analyzeLoadFacts(prog, dist);
+    LoadFact *counter = nullptr;
+    for (LoadFact &c : facts.loads) {
         if (c.addr.isConst() && c.addr.cval() == 0x2000)
             counter = &c;
     }
@@ -309,10 +252,10 @@ TEST(SpecSafeDynamic, FalsePromotionIsCaughtAtRuntime)
     EXPECT_EQ(counter->cls, LoadSpecClass::Risky);
 
     counter->cls = LoadSpecClass::ProvablyInvariant;  // the lie
-    SpecSafeDynamicResult dyn =
-        validateSpecSafeDynamic(prog, dist, loads);
-    EXPECT_EQ(dyn.checkedLoads, 1u);
-    EXPECT_GT(dyn.observations, 1u);
+    LoadFactsDynamicResult dyn =
+        validateLoadFactsDynamic(prog, dist, facts);
+    EXPECT_EQ(dyn.invariantLoads, 1u);
+    EXPECT_GT(dyn.invariantObservations, 1u);
     EXPECT_GT(dyn.valueChanges, 0u);
     EXPECT_FALSE(dyn.firstViolation.empty());
 }

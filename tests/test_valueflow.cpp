@@ -1,20 +1,18 @@
 /**
  * @file
- * Unit tests for the value-flow analysis (analysis/valueflow.hh) and
- * the speculation planner (analysis/specplan.hh): the forwarding
- * fact rules (invariant image word, flow-sensitive store-to-load
- * forwarding, feasible-set Likely demotion), plan ranking, the
- * persisted-metadata validation checks, JSON determinism, and the
- * dynamic Proven prediction gate (eval/crossval.hh
- * validateSpecPlanDynamic).
+ * Unit tests for the value facts of the load-fact analysis and the
+ * speculation plan ranked from them (analysis/loadfacts.hh): the
+ * forwarding rules (invariant image word, flow-sensitive store-to-
+ * load forwarding, feasible-set Likely demotion), plan ranking, JSON
+ * determinism, and the dynamic Proven prediction gate
+ * (eval/crossval.hh validateLoadFactsDynamic).
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 
-#include "analysis/specplan.hh"
-#include "analysis/valueflow.hh"
+#include "analysis/loadfacts.hh"
 #include "asm/assembler.hh"
 #include "core/pipeline.hh"
 #include "eval/crossval.hh"
@@ -26,14 +24,13 @@ namespace mssp
 namespace
 {
 
-using analysis::LoadValueFact;
+using analysis::LoadFact;
+using analysis::LoadFacts;
+using analysis::LoadSpecClass;
 using analysis::SpecPlanCandidate;
 using analysis::SpecPlanReport;
-using analysis::ValueFlowResult;
+using analysis::analyzeLoadFacts;
 using analysis::analyzeSpecPlan;
-using analysis::analyzeValueFlow;
-using analysis::classifySpecLoads;
-using analysis::planSpeculation;
 
 /** Distill with explicit fork sites and all approximating branch
  *  rewrites disabled, keeping the test's CFG (see test_specsafe). */
@@ -47,22 +44,23 @@ distillExact(const Program &prog, std::vector<uint32_t> sites = {})
     return distill(prog, prof, opts);
 }
 
-ValueFlowResult
-valueFlowOf(const Program &prog, const DistilledProgram &dist)
+/** The (unique) load reading constant @p addr that carries a value
+ *  fact. */
+const LoadFact *
+factForAddr(const LoadFacts &facts, uint32_t addr)
 {
-    return analyzeValueFlow(prog, dist,
-                            classifySpecLoads(prog, dist));
-}
-
-/** The fact for the (unique) load reading constant @p addr. */
-const LoadValueFact *
-factForAddr(const ValueFlowResult &vf, uint32_t addr)
-{
-    for (const LoadValueFact &f : vf.facts) {
-        if (f.addr == addr)
+    for (const LoadFact &f : facts.loads) {
+        if (f.value && f.addr.cval() == addr)
             return &f;
     }
     return nullptr;
+}
+
+/** The ranked plan of @p dist. */
+std::vector<SpecPlanCandidate>
+planOf(const Program &prog, const DistilledProgram &dist)
+{
+    return analyzeSpecPlan(prog, dist).candidates;
 }
 
 /** A one-store-then-loop program: the entry region rewrites the cell
@@ -109,13 +107,14 @@ TEST(ValueFlow, UntouchedWordForwardsTheImageConstant)
                             ".org 0x2000\n"
                             "cell: .word 7\n");
     DistilledProgram dist = distillExact(prog);
-    ValueFlowResult vf = valueFlowOf(prog, dist);
-    const LoadValueFact *f = factForAddr(vf, 0x2000);
-    ASSERT_NE(f, nullptr);
-    EXPECT_EQ(f->proof, ValueProof::Proven);
-    EXPECT_EQ(f->value, 7u);
-    EXPECT_EQ(f->feasible, std::vector<uint32_t>{7u});
-    EXPECT_EQ(f->storePc, UINT32_MAX);
+    LoadFacts facts = analyzeLoadFacts(prog, dist);
+    const LoadFact *ld = factForAddr(facts, 0x2000);
+    ASSERT_NE(ld, nullptr);
+    const analysis::LoadValueFact &f = *ld->value;
+    EXPECT_EQ(f.proof, ValueProof::Proven);
+    EXPECT_EQ(f.value, 7u);
+    EXPECT_EQ(f.feasible, std::vector<uint32_t>{7u});
+    EXPECT_EQ(f.storePc, UINT32_MAX);
 }
 
 TEST(ValueFlow, StoreToLoadForwardingBeatsTheImageWord)
@@ -126,13 +125,13 @@ TEST(ValueFlow, StoreToLoadForwardingBeatsTheImageWord)
     Program prog = forwardedCellProgram();
     DistilledProgram dist = distillAtLoopB(prog);
 
-    auto classes = classifySpecLoads(prog, dist);
-    ValueFlowResult vf = analyzeValueFlow(prog, dist, classes);
-    const LoadValueFact *f = factForAddr(vf, 0x2000);
-    ASSERT_NE(f, nullptr);
-    EXPECT_EQ(f->cls, LoadSpecClass::RegionInvariant);
-    EXPECT_EQ(f->proof, ValueProof::Proven) << f->detail;
-    EXPECT_EQ(f->value, 7u) << f->detail;
+    LoadFacts facts = analyzeLoadFacts(prog, dist);
+    const LoadFact *ld = factForAddr(facts, 0x2000);
+    ASSERT_NE(ld, nullptr);
+    EXPECT_EQ(ld->cls, LoadSpecClass::RegionInvariant);
+    EXPECT_EQ(ld->value->proof, ValueProof::Proven)
+        << ld->value->detail;
+    EXPECT_EQ(ld->value->value, 7u) << ld->value->detail;
 }
 
 TEST(ValueFlow, ConditionalStoreDemotesToLikelyWithFeasibleSet)
@@ -159,13 +158,14 @@ TEST(ValueFlow, ConditionalStoreDemotesToLikelyWithFeasibleSet)
                             ".org 0x2000\n"
                             "data: .word 5\n");
     DistilledProgram dist = distillAtLoopB(prog);
-    ValueFlowResult vf = valueFlowOf(prog, dist);
-    const LoadValueFact *f = factForAddr(vf, 0x2000);
-    ASSERT_NE(f, nullptr);
-    EXPECT_EQ(f->proof, ValueProof::Likely) << f->detail;
-    EXPECT_EQ(f->value, 5u);
-    EXPECT_EQ(f->feasible, (std::vector<uint32_t>{5u, 7u}));
-    EXPECT_NE(f->storePc, UINT32_MAX);
+    LoadFacts facts = analyzeLoadFacts(prog, dist);
+    const LoadFact *ld = factForAddr(facts, 0x2000);
+    ASSERT_NE(ld, nullptr);
+    const analysis::LoadValueFact &f = *ld->value;
+    EXPECT_EQ(f.proof, ValueProof::Likely) << f.detail;
+    EXPECT_EQ(f.value, 5u);
+    EXPECT_EQ(f.feasible, (std::vector<uint32_t>{5u, 7u}));
+    EXPECT_NE(f.storePc, UINT32_MAX);
 }
 
 TEST(SpecPlan, ProvenOutranksLikelyAndOrderIsByBenefit)
@@ -196,7 +196,7 @@ TEST(SpecPlan, ProvenOutranksLikelyAndOrderIsByBenefit)
                             ".org 0x2100\n"
                             "other: .word 9\n");
     DistilledProgram dist = distillAtLoopB(prog);
-    std::vector<SpecPlanCandidate> plan = planSpeculation(prog, dist);
+    std::vector<SpecPlanCandidate> plan = planOf(prog, dist);
     ASSERT_EQ(plan.size(), 2u);
     EXPECT_EQ(plan[0].proof, ValueProof::Proven);
     EXPECT_EQ(plan[0].addr, 0x2100u);
@@ -205,63 +205,33 @@ TEST(SpecPlan, ProvenOutranksLikelyAndOrderIsByBenefit)
     EXPECT_GT(plan[0].benefitMicro, plan[1].benefitMicro);
 }
 
-TEST(SpecPlan, FreshDistillationValidatesClean)
+TEST(SpecPlan, ProjectionsShareOneAnalysis)
 {
+    // Both reports project the same facts: every plan candidate is a
+    // load of the safety report with that load's class, and the plan
+    // covers exactly the loads that carry a value fact.
     Program prog = forwardedCellProgram();
     DistilledProgram dist = distillAtLoopB(prog);
-    ASSERT_FALSE(dist.specPlan.empty());
-    SpecPlanReport rep = analyzeSpecPlan(prog, dist);
-    EXPECT_EQ(rep.lint.errors(), 0u) << rep.lint.toText();
-    EXPECT_GE(rep.proven(), 1u);
-}
-
-TEST(SpecPlan, TamperedValueIsAMismatchError)
-{
-    Program prog = forwardedCellProgram();
-    DistilledProgram dist = distillAtLoopB(prog);
-    ASSERT_FALSE(dist.specPlan.empty());
-    dist.specPlan[0].value ^= 1;
-    SpecPlanReport rep = analyzeSpecPlan(prog, dist);
-    EXPECT_GT(rep.lint.errors(), 0u);
-    EXPECT_TRUE(std::any_of(
-        rep.lint.findings.begin(), rep.lint.findings.end(),
-        [](const analysis::Finding &f) {
-            return f.check == analysis::LintCheck::SpecPlanMismatch;
-        }))
-        << rep.lint.toText();
-}
-
-TEST(SpecPlan, MissingAndStaleEntriesAreCoverageErrors)
-{
-    Program prog = forwardedCellProgram();
-    DistilledProgram dist = distillAtLoopB(prog);
-    ASSERT_FALSE(dist.specPlan.empty());
-
-    DistilledProgram missing = dist;
-    missing.specPlan.clear();
-    SpecPlanReport rep1 = analyzeSpecPlan(prog, missing);
-    EXPECT_TRUE(std::any_of(
-        rep1.lint.findings.begin(), rep1.lint.findings.end(),
-        [](const analysis::Finding &f) {
-            return f.check == analysis::LintCheck::SpecPlanCoverage;
-        }))
-        << rep1.lint.toText();
-
-    DistilledProgram stale = dist;
-    SpecPlanEntry bogus;
-    bogus.pc = 0x7ffffffc;
-    bogus.value = 1;
-    bogus.feasible = {1};
-    stale.specPlan.push_back(bogus);
-    SpecPlanReport rep2 = analyzeSpecPlan(prog, stale);
-    EXPECT_TRUE(std::any_of(
-        rep2.lint.findings.begin(), rep2.lint.findings.end(),
-        [](const analysis::Finding &f) {
-            return f.check ==
-                       analysis::LintCheck::SpecPlanCoverage &&
-                   f.pc == 0x7ffffffc;
-        }))
-        << rep2.lint.toText();
+    LoadFacts facts = analyzeLoadFacts(prog, dist);
+    analysis::SpecSafeReport safe = analysis::specSafeReport(facts);
+    SpecPlanReport plan = analysis::specPlanReport(facts, dist);
+    ASSERT_EQ(safe.loads.size(), facts.loads.size());
+    size_t with_value = 0;
+    for (const LoadFact &ld : facts.loads)
+        with_value += ld.value ? 1 : 0;
+    EXPECT_EQ(plan.candidates.size(), with_value);
+    EXPECT_GE(plan.proven(), 1u);
+    EXPECT_GE(plan.loadsConsidered, plan.candidates.size());
+    for (const SpecPlanCandidate &c : plan.candidates) {
+        auto it = std::find_if(
+            safe.loads.begin(), safe.loads.end(),
+            [&c](const LoadFact &ld) { return ld.pc == c.pc; });
+        ASSERT_NE(it, safe.loads.end());
+        EXPECT_EQ(it->cls, c.cls);
+        EXPECT_NE(c.cls, LoadSpecClass::Risky);
+    }
+    EXPECT_EQ(safe.lint.errors(), 0u);
+    EXPECT_EQ(plan.lint.errors(), 0u);
 }
 
 TEST(SpecPlan, JsonReportIsDeterministicAndVersioned)
@@ -284,27 +254,25 @@ TEST(SpecPlanDynamic, ProvenPredictionsMatchTheReplay)
 {
     Program prog = forwardedCellProgram();
     DistilledProgram dist = distillAtLoopB(prog);
-    std::vector<SpecPlanCandidate> plan = planSpeculation(prog, dist);
-    ASSERT_FALSE(plan.empty());
-    SpecPlanDynamicResult dyn =
-        validateSpecPlanDynamic(prog, dist, plan);
+    LoadFactsDynamicResult dyn = validateLoadFactsDynamic(
+        prog, dist, analyzeLoadFacts(prog, dist));
     EXPECT_EQ(dyn.provenMismatches, 0u) << dyn.firstViolation;
-    uint64_t observations = 0;
-    for (const SpecPlanCandidateDyn &c : dyn.candidates)
-        observations += c.observations;
-    EXPECT_GT(observations, 0u);
+    EXPECT_GT(dyn.provenObservations, 0u);
 }
 
 TEST(SpecPlanDynamic, FalsePredictionIsCaughtAtRuntime)
 {
     Program prog = forwardedCellProgram();
     DistilledProgram dist = distillAtLoopB(prog);
-    std::vector<SpecPlanCandidate> plan = planSpeculation(prog, dist);
-    ASSERT_FALSE(plan.empty());
-    ASSERT_EQ(plan[0].proof, ValueProof::Proven);
-    plan[0].value ^= 1;  // the lie
-    SpecPlanDynamicResult dyn =
-        validateSpecPlanDynamic(prog, dist, plan);
+    LoadFacts facts = analyzeLoadFacts(prog, dist);
+    auto ld = std::find_if(
+        facts.loads.begin(), facts.loads.end(),
+        [](const LoadFact &f) { return f.value.has_value(); });
+    ASSERT_NE(ld, facts.loads.end());
+    ASSERT_EQ(ld->value->proof, ValueProof::Proven);
+    ld->value->value ^= 1;  // the lie
+    LoadFactsDynamicResult dyn =
+        validateLoadFactsDynamic(prog, dist, facts);
     EXPECT_GT(dyn.provenMismatches, 0u);
     EXPECT_FALSE(dyn.firstViolation.empty());
 }
@@ -331,11 +299,11 @@ TEST(SpecPlanDynamic, LikelyCandidatesAccumulateHitRates)
                             ".org 0x2000\n"
                             "data: .word 5\n");
     DistilledProgram dist = distillAtLoopB(prog);
-    std::vector<SpecPlanCandidate> plan = planSpeculation(prog, dist);
+    std::vector<SpecPlanCandidate> plan = planOf(prog, dist);
     ASSERT_FALSE(plan.empty());
     ASSERT_EQ(plan[0].proof, ValueProof::Likely);
-    SpecPlanDynamicResult dyn =
-        validateSpecPlanDynamic(prog, dist, plan);
+    LoadFactsDynamicResult dyn = validateLoadFactsDynamic(
+        prog, dist, analyzeLoadFacts(prog, dist));
     EXPECT_GT(dyn.likelyObservations, 0u);
     EXPECT_EQ(dyn.likelyHits, dyn.likelyObservations);
     EXPECT_EQ(dyn.provenMismatches, 0u);

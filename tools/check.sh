@@ -12,8 +12,8 @@
 #
 #   MSSP_SKIP_TIDY        clang-tidy tree-wide pass
 #   MSSP_SKIP_BACKENDS    backend tier smoke + differential fuzz
-#   MSSP_SKIP_SPECSAFE    speculation-safety sweep (sharded vs serial)
-#   MSSP_SKIP_SPECPLAN    speculation-plan sweep (sharded vs serial)
+#   MSSP_SKIP_LOADFACTS   load-fact sweeps, --specsafe and --plan
+#                         (sharded vs serial)
 #   MSSP_SKIP_SPECULATE   value-speculation distill/adapt/lint gate
 #   MSSP_SKIP_FAULTS      fault-injection campaign smoke
 #   MSSP_SKIP_SUPERVISOR  budget-trip + host-chaos gate
@@ -132,55 +132,33 @@ else
     echo "backend tiers agree (smoke + fuzz gate)"
 fi
 
-if [[ "${MSSP_SKIP_SPECSAFE:-0}" == "1" ]]; then
-    echo "== skipping specsafe gate (MSSP_SKIP_SPECSAFE=1)"
+if [[ "${MSSP_SKIP_LOADFACTS:-0}" == "1" ]]; then
+    echo "== skipping load-fact gate (MSSP_SKIP_LOADFACTS=1)"
 else
-    # Speculation-safety sweep over every registry workload: every
-    # static load classified, persisted metadata re-validates, and
-    # the aggregated JSON from a sharded run is byte-identical to the
-    # serial one (the determinism contract, DESIGN.md §10).
-    echo "== specsafe gate (all workloads, sharded vs serial)"
-    spec_rc=0
-    build/tools/mssp-lint --specsafe --workloads all --scale 0.05 \
-        --jobs "$JOBS" --report=json > "$tmp/specsafe-par.json" \
-        || spec_rc=$?
-    if [[ $spec_rc -gt 1 ]]; then
-        echo "check.sh: specsafe found errors (exit $spec_rc)" >&2
-        exit 1
-    fi
-    build/tools/mssp-lint --specsafe --workloads all --scale 0.05 \
-        --jobs 1 --report=json > "$tmp/specsafe-ser.json" || true
-    if ! cmp -s "$tmp/specsafe-par.json" "$tmp/specsafe-ser.json"; then
-        echo "check.sh: sharded specsafe report (--jobs $JOBS)" \
-             "differs from the serial one" >&2
-        exit 1
-    fi
-    echo "specsafe clean; --jobs $JOBS report byte-identical to --jobs 1"
-fi
-
-if [[ "${MSSP_SKIP_SPECPLAN:-0}" == "1" ]]; then
-    echo "== skipping specplan gate (MSSP_SKIP_SPECPLAN=1)"
-else
-    # Speculation-plan sweep over every registry workload: the
-    # persisted plans re-validate, and the aggregated JSON from a
-    # sharded run is byte-identical to the serial one.
-    echo "== specplan gate (all workloads, sharded vs serial)"
-    plan_rc=0
-    build/tools/mssp-lint --plan --workloads all --scale 0.05 \
-        --jobs "$JOBS" --report=json > "$tmp/specplan-par.json" \
-        || plan_rc=$?
-    if [[ $plan_rc -gt 1 ]]; then
-        echo "check.sh: specplan found errors (exit $plan_rc)" >&2
-        exit 1
-    fi
-    build/tools/mssp-lint --plan --workloads all --scale 0.05 \
-        --jobs 1 --report=json > "$tmp/specplan-ser.json" || true
-    if ! cmp -s "$tmp/specplan-par.json" "$tmp/specplan-ser.json"; then
-        echo "check.sh: sharded specplan report (--jobs $JOBS)" \
-             "differs from the serial one" >&2
-        exit 1
-    fi
-    echo "specplan clean; --jobs $JOBS report byte-identical to --jobs 1"
+    # Both projections of the load-fact analysis (safety classes and
+    # speculation plan) over every registry workload: each report is
+    # clean, and the aggregated JSON from a sharded run is byte-
+    # identical to the serial one (the determinism contract,
+    # DESIGN.md §10).
+    echo "== load-fact gate (all workloads, sharded vs serial)"
+    for mode in specsafe plan; do
+        mode_rc=0
+        build/tools/mssp-lint --$mode --workloads all --scale 0.05 \
+            --jobs "$JOBS" --report=json > "$tmp/$mode-par.json" \
+            || mode_rc=$?
+        if [[ $mode_rc -gt 1 ]]; then
+            echo "check.sh: --$mode found errors (exit $mode_rc)" >&2
+            exit 1
+        fi
+        build/tools/mssp-lint --$mode --workloads all --scale 0.05 \
+            --jobs 1 --report=json > "$tmp/$mode-ser.json" || true
+        if ! cmp -s "$tmp/$mode-par.json" "$tmp/$mode-ser.json"; then
+            echo "check.sh: sharded --$mode report (--jobs $JOBS)" \
+                 "differs from the serial one" >&2
+            exit 1
+        fi
+    done
+    echo "load facts clean; --jobs $JOBS reports byte-identical to --jobs 1"
 fi
 
 if [[ "${MSSP_SKIP_SPECULATE:-0}" == "1" ]]; then

@@ -20,17 +20,13 @@
  * is classified proven/risky/unknown, and with --report=json the
  * output carries a per-edit "edits" array alongside the findings.
  *
- * --specsafe runs the speculation-safety classifier
- * (analysis/specsafe.hh) instead: every static load in the distilled
- * image is classified provably-invariant / region-invariant / risky,
- * and the image's persisted `specload` metadata is validated against
- * the recomputation.
- *
- * --plan runs the value-flow analysis and speculation planner
- * (analysis/specplan.hh): every predictable load becomes a ranked
- * plan candidate (proven/likely, predicted value, benefit score),
- * and the image's persisted `specplan` metadata is validated against
- * the recomputation.
+ * --specsafe and --plan run the load-fact analysis
+ * (analysis/loadfacts.hh) instead. --specsafe reports its safety
+ * classes: every static load in the distilled image is provably-
+ * invariant, region-invariant or risky. --plan reports the ranked
+ * speculation plan: every load with a value fact becomes a candidate
+ * (proven/likely, predicted value, benefit score). Images carry no
+ * load metadata, so both modes only report; they find no errors.
  *
  * --workloads sweeps many registry workloads in one invocation
  * (specsafe or plan mode), sharded over --jobs host threads; the
@@ -50,8 +46,7 @@
 #include <string>
 #include <vector>
 
-#include "analysis/specplan.hh"
-#include "analysis/specsafe.hh"
+#include "analysis/loadfacts.hh"
 #include "analysis/verifier.hh"
 #include "asm/assembler.hh"
 #include "asm/objfile.hh"

@@ -1,8 +1,8 @@
 /**
  * @file
  * mssp-suite: the full evaluation (distill -> lint -> semantic ->
- * specsafe -> specplan -> run -> speculate -> crossval -> fault
- * campaign) over the whole workload suite as one sharded job graph
+ * load facts -> run -> speculate -> crossval -> fault campaign)
+ * over the whole workload suite as one sharded job graph
  * (docs/CI.md). The speculate stage runs the value-speculating
  * distiller through its squash-feedback adaptation loop
  * (eval/adapt.hh) and gates the converged image statically,
