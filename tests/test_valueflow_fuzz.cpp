@@ -1,13 +1,13 @@
 /**
  * @file
- * Fuzz gate for the value-flow analysis and speculation planner:
- * every random program family seed is distilled at the paper preset,
- * the persisted plan must re-validate with zero errors, and every
- * Proven candidate's predicted value is checked differentially
- * against a bounded SEQ replay of the merged image — a Proven
- * prediction that a real execution contradicts is a soundness bug in
- * the value-flow analysis, never acceptable. Likely candidates only
- * accumulate hit rates; they are allowed to miss.
+ * Fuzz gate for the Proven value facts: every random program family
+ * seed is distilled at the paper preset, analyzed once, and every
+ * Proven candidate's predicted value is checked against one bounded
+ * SEQ replay of the merged image. A Proven prediction that a real
+ * execution contradicts is a soundness bug in the value-flow solve,
+ * never acceptable. Likely candidates only accumulate hit rates; they
+ * are allowed to miss. tests/test_specsafe_fuzz.cpp gates the
+ * ProvablyInvariant classes of the same analysis.
  *
  * Runs 25 seeds by default (fast enough for ctest); the full gate is
  *   MSSP_FUZZ_ITERS=500 ./test_valueflow_fuzz
@@ -17,7 +17,7 @@
 
 #include <cstdlib>
 
-#include "analysis/specplan.hh"
+#include "analysis/loadfacts.hh"
 #include "core/pipeline.hh"
 #include "eval/crossval.hh"
 #include "helpers.hh"
@@ -56,27 +56,24 @@ TEST(ValueFlowFuzz, ProvenPredictionsSurviveLockstepExecution)
         PreparedWorkload w =
             prepare(prog, prog, DistillerOptions::paperPreset());
 
-        // The plan distill() stamped must re-validate cleanly.
-        analysis::SpecPlanReport rep =
-            analysis::analyzeSpecPlan(w.orig, w.dist);
-        EXPECT_EQ(rep.lint.errors(), 0u) << rep.lint.toText();
-        total_candidates += rep.candidates.size();
-        total_proven += rep.proven();
+        analysis::LoadFacts facts =
+            analysis::analyzeLoadFacts(w.orig, w.dist);
+        analysis::SpecPlanReport plan =
+            analysis::specPlanReport(facts, w.dist);
+        total_candidates += plan.candidates.size();
+        total_proven += plan.proven();
 
         // Differential check: no bounded replay of the merged image
         // may contradict a Proven predicted value (zero false
         // predictions, the fuzz gate's point).
-        SpecPlanDynamicResult dyn = validateSpecPlanDynamic(
-            w.orig, w.dist, rep.candidates);
+        LoadFactsDynamicResult dyn =
+            validateLoadFactsDynamic(w.orig, w.dist, facts);
         EXPECT_EQ(dyn.provenMismatches, 0u) << dyn.firstViolation;
-        for (const SpecPlanCandidateDyn &c : dyn.candidates) {
-            if (c.proof == ValueProof::Proven)
-                total_observations += c.observations;
-        }
+        total_observations += dyn.provenObservations;
     }
 
     // The gate must not pass vacuously: over the seed range the
-    // planner does prove candidates and execution does exercise
+    // analysis does prove candidates and execution does exercise
     // them.
     EXPECT_GT(total_candidates, 0u);
     EXPECT_GT(total_proven, 0u);
