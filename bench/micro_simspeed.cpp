@@ -104,16 +104,12 @@ BM_Distiller(benchmark::State &state)
 BENCHMARK(BM_Distiller);
 
 void
-BM_MsspMachine(benchmark::State &state, bool speculate)
+BM_MsspMachine(benchmark::State &state)
 {
     setQuiet(true);
     PreparedWorkload p = prepare(benchWorkload().refSource,
                                  benchWorkload().trainSource,
                                  DistillerOptions::paperPreset());
-    if (speculate)
-        p.dist = distillSpeculated(p.orig, p.profile,
-                                   DistillerOptions::paperPreset(),
-                                   SpeculateOptions{});
     uint64_t insts = 0;
     uint64_t per_run = 0;
     uint64_t cycles = 0;
@@ -130,16 +126,11 @@ BM_MsspMachine(benchmark::State &state, bool speculate)
     state.SetItemsProcessed(static_cast<int64_t>(insts));
     state.counters["sim_insts"] = static_cast<double>(per_run);
     state.counters["sim_cycles"] = static_cast<double>(cycles);
-    // The value-speculation payoff is a shorter master path;
-    // committed insts stay identical (same architected work). Both
-    // variants export the counter so the gate pins the delta.
+    // The distiller's payoff is a shorter master path; committed
+    // insts stay identical (same architected work).
     state.counters["sim_master_insts"] = static_cast<double>(master);
-    if (speculate)
-        state.counters["sim_baked"] =
-            static_cast<double>(p.dist.specEdits.size());
 }
-BENCHMARK_CAPTURE(BM_MsspMachine, base, false);
-BENCHMARK_CAPTURE(BM_MsspMachine, speculated, true);
+BENCHMARK(BM_MsspMachine)->Name("BM_MsspMachine/base");
 
 void
 BM_Assembler(benchmark::State &state)

@@ -522,6 +522,16 @@ loadSpecClassName(LoadSpecClass cls)
     return "?";
 }
 
+const char *
+valueProofName(ValueProof proof)
+{
+    switch (proof) {
+      case ValueProof::Proven: return "proven";
+      case ValueProof::Likely: return "likely";
+    }
+    return "?";
+}
+
 Program
 mergedImage(const Program &orig, const DistilledProgram &dist)
 {
@@ -691,7 +701,6 @@ specPlanReport(const LoadFacts &facts, const DistilledProgram &dist)
         c.value = f.value;
         c.feasible = f.feasible;
         c.storePc = f.storePc;
-        c.regions = ld.regions;
         c.benefitMicro = benefitOf(ld, facts, dist);
         c.detail = f.detail;
         rep.candidates.push_back(std::move(c));

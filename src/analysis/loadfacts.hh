@@ -5,8 +5,8 @@
  * The paper's distiller may speculate anything, because the slaves
  * verify every task; static load facts are therefore a lint and
  * cross-validation aid, not part of the distilled program. They are
- * computed on demand — by mssp-lint, the suite, crossval and the
- * value-speculating distiller — and never persisted (DESIGN.md §5.3).
+ * computed on demand — by mssp-lint, the suite and crossval — and
+ * never persisted (DESIGN.md §5.3).
  *
  * analyzeLoadFacts() builds the set-up once: the original program's
  * CFG and interval abstract interpretation (analysis/absint.hh), the
@@ -76,6 +76,21 @@ enum class LoadSpecClass : uint8_t
 
 /** Stable lower-case class name ("provably-invariant", ...). */
 const char *loadSpecClassName(LoadSpecClass cls);
+
+/**
+ * Proof strength of a predicted load value. A Proven fact may
+ * observe exactly one value on any execution of the merged image —
+ * a dynamic counterexample fails the crossval gate outright; a
+ * Likely fact has a small non-singleton feasible constant set.
+ */
+enum class ValueProof : uint8_t
+{
+    Proven,
+    Likely,
+};
+
+/** Stable lower-case proof name ("proven" / "likely"). */
+const char *valueProofName(ValueProof proof);
 
 /** What one load reads, and how sure the analysis is of it. */
 struct LoadValueFact
@@ -178,7 +193,6 @@ struct SpecPlanCandidate
     uint32_t storePc = UINT32_MAX;
     /** Expected benefit in micro-units (higher = speculate first). */
     uint64_t benefitMicro = 0;
-    RegionMask regions = RegionEntry;
     std::string detail;    ///< the value fact's proof sketch
 };
 

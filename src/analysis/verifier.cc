@@ -47,8 +47,6 @@ lintCheckName(LintCheck check)
       case LintCheck::SemanticUnreachable:
         return "semantic-unreachable";
       case LintCheck::EditMetadata: return "edit-metadata";
-      case LintCheck::SpecEditMismatch: return "specedit-mismatch";
-      case LintCheck::SpecEditCoverage: return "specedit-coverage";
     }
     return "?";
 }
@@ -158,7 +156,6 @@ struct Verify
     void checkCheckpoints();
     void checkUseBeforeDef();
     void checkEdits();
-    void checkSpecEdits();
 };
 
 // Check 1a: every reachable word decodes and every control transfer
@@ -503,107 +500,6 @@ Verify::checkEdits()
     }
 }
 
-// Speculated-edit records (.mdo v5): each must name a real original
-// load, its baked constant must still be in the image word(s) it
-// points at (a tampered value is exactly what this catches), it must
-// have ValueSpec provenance in the edit log, and its policing sites
-// must be restart points of the image. De-speculated loads must not
-// also be baked.
-void
-Verify::checkSpecEdits()
-{
-    for (const SpecEdit &e : dist.specEdits) {
-        const BasicBlock *bb = blockContaining(origCfg, e.origPc);
-        Instruction oinst =
-            bb ? decode(orig.word(e.origPc)) : Instruction{};
-        if (!bb || oinst.op != Opcode::Lw || oinst.rd != e.reg) {
-            add(Severity::Error, LintCheck::SpecEditMismatch,
-                e.origPc, bb ? bb->start : UINT32_MAX,
-                strfmt("specedit at 0x%x does not name an original "
-                       "load into %s",
-                       e.origPc, regName(e.reg)));
-            continue;
-        }
-
-        // Decode the baked constant out of the image and compare.
-        bool ok = dist.prog.hasWord(e.distPc);
-        uint32_t baked = 0;
-        if (ok) {
-            Instruction i1 = decode(dist.prog.word(e.distPc));
-            if (i1.op == Opcode::Addi && i1.rs1 == 0 &&
-                i1.rd == e.reg) {
-                baked = static_cast<uint32_t>(i1.imm);
-            } else if (i1.op == Opcode::Lui && i1.rd == e.reg) {
-                baked = static_cast<uint32_t>(i1.imm) << 16;
-                if (dist.prog.hasWord(e.distPc + 1)) {
-                    Instruction i2 =
-                        decode(dist.prog.word(e.distPc + 1));
-                    if (i2.op == Opcode::Ori && i2.rd == e.reg &&
-                        i2.rs1 == e.reg) {
-                        baked |= static_cast<uint32_t>(i2.imm) &
-                                 0xffffu;
-                    }
-                }
-            } else {
-                ok = false;
-            }
-        }
-        if (!ok || baked != e.value) {
-            add(Severity::Error, LintCheck::SpecEditMismatch,
-                e.distPc, UINT32_MAX,
-                ok ? strfmt("specedit for load 0x%x: image "
-                            "materializes 0x%x at 0x%x, record says "
-                            "0x%x (baked value tampered?)",
-                            e.origPc, baked, e.distPc, e.value)
-                   : strfmt("specedit for load 0x%x points at 0x%x, "
-                            "which does not materialize a constant "
-                            "into %s",
-                            e.origPc, e.distPc, regName(e.reg)));
-        }
-
-        // Provenance: a matching ValueSpec edit must be in the log.
-        bool logged = false;
-        for (const DistillEdit &le : dist.report.edits) {
-            if (le.pass == DistillEdit::Pass::ValueSpec &&
-                le.origPc == e.origPc && le.reg == e.reg &&
-                le.hasValue && le.value == e.value) {
-                logged = true;
-                break;
-            }
-        }
-        if (!logged) {
-            add(Severity::Error, LintCheck::SpecEditCoverage,
-                e.origPc, bb->start,
-                strfmt("specedit at 0x%x has no matching value-spec "
-                       "entry in the edit log",
-                       e.origPc));
-        }
-
-        for (uint32_t site : e.policedBy) {
-            if (!dist.entryMap.count(site)) {
-                add(Severity::Error, LintCheck::SpecEditMismatch,
-                    e.origPc, bb->start,
-                    strfmt("specedit at 0x%x is policed by 0x%x, "
-                           "which is not a restart point of the "
-                           "image",
-                           e.origPc, site));
-            }
-        }
-    }
-
-    for (uint32_t pc : dist.specDropped) {
-        for (const SpecEdit &e : dist.specEdits) {
-            if (e.origPc == pc) {
-                add(Severity::Error, LintCheck::SpecEditCoverage,
-                    pc, UINT32_MAX,
-                    strfmt("load 0x%x is both de-speculated "
-                           "(specdrop) and baked (specedit)",
-                           pc));
-            }
-        }
-    }
-}
-
 } // anonymous namespace
 
 LintReport
@@ -616,7 +512,6 @@ verifyDistilled(const Program &orig, const DistilledProgram &dist)
     v.checkCheckpoints();
     v.checkUseBeforeDef();
     v.checkEdits();
-    v.checkSpecEdits();
     return std::move(v.rep);
 }
 

@@ -83,10 +83,6 @@ enum class LintCheck : uint8_t
     SemanticLiveOut,        ///< live-out diverges between O and D
     SemanticUnreachable,    ///< removed block is abstractly reachable
     EditMetadata,           ///< region/live-out/value metadata broken
-
-    // Speculated-edit record checks (distill/speculate.cc, .mdo v5).
-    SpecEditMismatch,       ///< baked word / load / site disagrees
-    SpecEditCoverage,       ///< specedit without edit-log provenance
 };
 
 const char *severityName(Severity sev);

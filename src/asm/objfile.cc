@@ -13,16 +13,16 @@ const char *kProgramMagic = "mssp-object v1";
 /** Format v2 extended `edit` lines with semantic metadata (value,
  *  region leader, live-out mask); v3 added per-load speculation-
  *  safety classes (`specload` lines) and v4 the ranked speculation
- *  plan (`specplan` lines); v5 adds speculated-edit records
- *  (`specedit` lines, distill/speculate.cc), the feedback generation
- *  counter (`specgen`) and de-speculated load PCs (`specdrop`,
- *  eval/adapt.hh). v6 drops `specload` and `specplan` again: load
- *  facts are computed on demand (analysis/loadfacts.hh), not
- *  persisted. Version mismatches in either direction are rejected
- *  loudly: a misparsed edit log would silently disable the semantic
- *  checks, and an older image's load records would be misread as
- *  unknown directives. */
-const char *kDistilledMagic = "mssp-distilled v6";
+ *  plan (`specplan` lines); v5 added the records of a second,
+ *  plan-driven value-baking pass (`specedit` and two feedback-loop
+ *  lines). v6 dropped `specload` and `specplan`: load facts are
+ *  computed on demand (analysis/loadfacts.hh), not persisted. v7
+ *  drops the v5 records with the pass they described; passValueSpec
+ *  logs its bakes as `edit value-spec` lines. Version mismatches in
+ *  either direction are rejected loudly: a misparsed edit log would
+ *  silently disable the semantic checks, and an older image's
+ *  records would be misread as unknown directives. */
+const char *kDistilledMagic = "mssp-distilled v7";
 const char *kDistilledFamily = "mssp-distilled";
 
 void
@@ -124,24 +124,6 @@ saveDistilled(const DistilledProgram &dist)
         out += strfmt("addr 0x%x 0x%x\n", orig, distilled);
     for (const auto &[orig, mask] : dist.checkpointRegs)
         out += strfmt("ckpt 0x%x 0x%x\n", orig, mask);
-    // Speculated-edit records, in bake order (plan rank order).
-    for (const SpecEdit &e : dist.specEdits) {
-        out += strfmt("specedit 0x%x 0x%x %u 0x%x %s 0x%x %llu ",
-                      e.origPc, e.distPc, e.reg, e.addr,
-                      valueProofName(e.proof), e.value,
-                      static_cast<unsigned long long>(
-                          e.benefitMicro));
-        if (e.policedBy.empty()) {
-            out += "-";
-        } else {
-            for (size_t i = 0; i < e.policedBy.size(); ++i)
-                out += strfmt("%s0x%x", i ? "," : "", e.policedBy[i]);
-        }
-        out += "\n";
-    }
-    for (uint32_t pc : dist.specDropped)
-        out += strfmt("specdrop 0x%x\n", pc);
-    out += strfmt("specgen %u\n", dist.specGeneration);
     for (const DistillEdit &e : dist.report.edits) {
         out += strfmt("edit %s 0x%x %u %u 0x%x 0x%x 0x%x\n",
                       distillPassName(e.pass), e.origPc, e.reg,
@@ -199,38 +181,6 @@ loadDistilled(const std::string &text)
         if (key == "ckpt" && toks.size() == 3) {
             dist.checkpointRegs[want_int(toks[1], line_no)] =
                 want_int(toks[2], line_no);
-            return true;
-        }
-        if (key == "specedit" && toks.size() == 9) {
-            SpecEdit e;
-            e.origPc = want_int(toks[1], line_no);
-            e.distPc = want_int(toks[2], line_no);
-            e.reg = static_cast<uint8_t>(want_int(toks[3], line_no));
-            e.addr = want_int(toks[4], line_no);
-            if (!valueProofFromName(std::string(toks[5]), e.proof)) {
-                fatal("object line %d: unknown proof class '%s'",
-                      line_no, std::string(toks[5]).c_str());
-            }
-            e.value = want_int(toks[6], line_no);
-            int64_t micro;   // 64-bit: want_int truncates to uint32
-            if (!parseInt(toks[7], micro) || micro < 0) {
-                fatal("object line %d: bad benefit '%s'", line_no,
-                      std::string(toks[7]).c_str());
-            }
-            e.benefitMicro = static_cast<uint64_t>(micro);
-            if (toks[8] != "-") {
-                for (std::string_view v : split(toks[8], ','))
-                    e.policedBy.push_back(want_int(v, line_no));
-            }
-            dist.specEdits.push_back(std::move(e));
-            return true;
-        }
-        if (key == "specdrop" && toks.size() == 2) {
-            dist.specDropped.push_back(want_int(toks[1], line_no));
-            return true;
-        }
-        if (key == "specgen" && toks.size() == 2) {
-            dist.specGeneration = want_int(toks[1], line_no);
             return true;
         }
         if (key == "edit" && toks.size() == 8) {

@@ -23,6 +23,7 @@
 #ifndef MSSP_DISTILL_DISTILLER_HH
 #define MSSP_DISTILL_DISTILLER_HH
 
+#include <array>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -140,73 +141,6 @@ struct DistillEdit
     RegMask liveOut = 0;
 };
 
-/**
- * Proof strength of a predicted load value in a speculation plan
- * (analysis/loadfacts.hh, DESIGN.md §5.3). Proven candidates may
- * observe exactly one value on any execution of the merged image —
- * a dynamic counterexample fails the crossval gate outright; Likely
- * candidates have a small non-singleton feasible constant set.
- */
-enum class ValueProof : uint8_t
-{
-    Proven,
-    Likely,
-};
-
-/** Stable lower-case proof name ("proven" / "likely"). */
-const char *valueProofName(ValueProof proof);
-
-/** Parse a proof name; @retval false when unknown. */
-bool valueProofFromName(const std::string &name, ValueProof &proof);
-
-/**
- * One *speculated* edit: a load the value-speculating pass
- * (distill/speculate.cc, DESIGN.md §13) rewrote into a baked
- * constant, with enough provenance to police it statically
- * (mssp-lint decodes the image word at @c distPc and checks it
- * materializes @c value) and dynamically (the adaptation loop maps
- * per-fork-site squash rates back onto edits through @c policedBy).
- * Persisted as `specedit` lines in the .mdo (format v5).
- */
-struct SpecEdit
-{
-    /** Original-program PC of the replaced load. */
-    uint32_t origPc = UINT32_MAX;
-    /** Distilled PC of the first word of the baked constant. */
-    uint32_t distPc = UINT32_MAX;
-    /** Destination register of the load. */
-    uint8_t reg = 0;
-    /** Constant address the load read. */
-    uint32_t addr = 0;
-    /** Proof strength of the plan candidate this edit came from. */
-    ValueProof proof = ValueProof::Proven;
-    /** The baked value. */
-    uint32_t value = 0;
-    /** Planner benefit score (micro-units, from the plan candidate). */
-    uint64_t benefitMicro = 0;
-    /** Original fork-site PCs whose tasks verify the regions this
-     *  load executes in — the sites whose squash rate the adaptation
-     *  loop attributes to this edit (ascending). */
-    std::vector<uint32_t> policedBy;
-
-    bool operator==(const SpecEdit &) const = default;
-};
-
-/** Knobs of the value-speculating distiller pass. */
-struct SpeculateOptions
-{
-    /** Bake Likely candidates too (Proven are always baked). */
-    bool bakeLikely = false;
-    /** Minimum benefitMicro a Likely candidate must clear. */
-    uint64_t minLikelyBenefitMicro = 50000000;
-    /** Original load PCs the adaptation loop de-speculated: never
-     *  bake these again (ascending; .mdo `specdrop` lines). */
-    std::vector<uint32_t> despeculated;
-    /** Feedback generation counter (0 = no feedback yet; .mdo
-     *  `specgen` line). */
-    uint32_t generation = 0;
-};
-
 /** Lower-case pass name ("branch-prune", "dce", ...). */
 const char *distillPassName(DistillEdit::Pass pass);
 
@@ -281,30 +215,11 @@ struct DistilledProgram
      */
     std::map<uint32_t, RegMask> checkpointRegs;
 
-    /**
-     * Speculated edits: the plan candidates distillSpeculated() baked
-     * into the image, in bake order (plan rank order). Empty for
-     * images the speculation pass never touched. Persisted as
-     * `specedit` lines (.mdo v5) and re-validated by mssp-lint.
-     */
-    std::vector<SpecEdit> specEdits;
-
-    /** Original load PCs the squash-feedback loop de-speculated
-     *  (ascending; .mdo `specdrop` lines). */
-    std::vector<uint32_t> specDropped;
-
-    /** Feedback generation that produced this image (0 = one-shot;
-     *  .mdo `specgen` line). */
-    uint32_t specGeneration = 0;
-
-    /**
-     * Distilled PC -> original PC for every emitted body instruction
-     * (first word of multi-word expansions). In-memory provenance for
-     * the speculation pass; not persisted in the .mdo.
-     */
-    std::map<uint32_t, uint32_t> pcOrigin;
-
     DistillReport report;
+
+    /** Benchmark-harness compatibility only (see the block after
+     *  distill()): always empty. */
+    static constexpr std::array<uint32_t, 0> specEdits{};
 
     /** Distilled PC for restarting the master at original @p pc
      *  (UINT32_MAX when @p pc is not a restart point). */
@@ -327,20 +242,28 @@ DistilledProgram distill(const Program &orig,
                          const ProfileData &profile,
                          const DistillerOptions &opts);
 
-/**
- * Distill @p orig, then *value-speculate* the result
- * (distill/speculate.cc, DESIGN.md §13): bake every Proven (and,
- * optionally, high-benefit Likely) candidate of the un-speculated
- * image's speculation plan into a load-immediate, re-run constant
- * folding and DCE over the shortened code, re-place fork boundaries,
- * and stamp fresh metadata. The returned image carries one SpecEdit
- * per baked load. Deterministic: same inputs produce byte-identical
- * images.
- */
-DistilledProgram distillSpeculated(const Program &orig,
-                                   const ProfileData &profile,
-                                   const DistillerOptions &opts,
-                                   const SpeculateOptions &sopts);
+// Benchmark-harness compatibility ------------------------------------
+//
+// msspbench/ is frozen between benchmark revisions and still names
+// the removed plan-driven bake pass: it calls distillSpeculated() and
+// reads DistilledProgram::specEdits (declared in the struct, which a
+// member must be). passValueSpec is the one value-baking mechanism
+// (DESIGN.md §5.3), so the call is plain distill() and specEdits is
+// always empty. Nothing else may use this block; it goes at the next
+// benchmark change (ROADMAP.md).
+
+/** Removed bake-pass knobs (compatibility only). */
+struct SpeculateOptions
+{
+};
+
+/** Compatibility only: distill(@p orig, @p profile, @p opts). */
+inline DistilledProgram
+distillSpeculated(const Program &orig, const ProfileData &profile,
+                  const DistillerOptions &opts, const SpeculateOptions &)
+{
+    return distill(orig, profile, opts);
+}
 
 // Individual passes, exposed for unit testing and ablation ------------
 
@@ -379,20 +302,6 @@ void passMarkForkSites(DistillIr &ir,
 
 /** Pass 7b: lay out the IR as a binary and build the maps. */
 DistilledProgram layout(const DistillIr &ir, DistillReport report);
-
-// Shared pipeline stages (distill() and distillSpeculated()) ----------
-
-/** Passes 1–6 in pipeline order on @p ir, honouring @p opts.
- *  @p orig supplies the image for the safe value-spec form. */
-void runDistillPasses(DistillIr &ir, const ProfileData &profile,
-                      const DistillerOptions &opts,
-                      const Program &orig, DistillReport &report);
-
-/** The metadata tail of distill(): stamp checkpoint masks and
- *  per-edit region/live-out metadata onto the laid-out @p out. @p cfg
- *  is the original program's CFG. Load facts are not stamped; they
- *  are computed on demand (analysis/loadfacts.hh). */
-void finalizeDistilled(DistilledProgram &out, const Cfg &cfg);
 
 } // namespace mssp
 

@@ -63,6 +63,68 @@ termSize(const IrBlock &blk, bool elide)
     return 1;
 }
 
+/** Passes 1–6 in pipeline order on @p ir, honouring @p opts.
+ *  @p orig supplies the image for the safe value-spec form. */
+void
+runDistillPasses(DistillIr &ir, const ProfileData &profile,
+                 const DistillerOptions &opts, const Program &orig,
+                 DistillReport &report)
+{
+    if (opts.enableBranchPrune)
+        passBranchPrune(ir, profile, opts, report);
+    passUnreachableElim(ir, report);
+    if (opts.enableConstFold)
+        passConstFold(ir, report);
+    if (opts.enableDce)
+        passDce(ir, report);
+    if (opts.enableSilentStoreElim)
+        passSilentStoreElim(ir, profile, opts, report);
+    if (opts.enableValueSpec) {
+        passValueSpec(ir, profile, opts, orig, report);
+        // Value speculation exposes new constants and dead code.
+        if (opts.enableConstFold)
+            passConstFold(ir, report);
+        if (opts.enableDce)
+            passDce(ir, report);
+    }
+}
+
+/** The metadata tail of distill(): stamp checkpoint masks and
+ *  per-edit region/live-out metadata onto the laid-out @p out. @p cfg
+ *  is the original program's CFG. Load facts are not stamped; they
+ *  are computed on demand (analysis/loadfacts.hh). */
+void
+finalizeDistilled(DistilledProgram &out, const Cfg &cfg)
+{
+    // Checkpoint map: the register live-in mask of every task, from
+    // the *original* program's liveness (the task runs original
+    // code). This is the distiller's static completeness claim; see
+    // DistilledProgram::checkpointRegs and mssp-lint's checks.
+    std::map<uint32_t, BlockLiveness> live = computeLiveness(cfg);
+    for (uint32_t orig_pc : out.taskMap) {
+        auto it = live.find(orig_pc);
+        out.checkpointRegs[orig_pc] = it != live.end()
+                                          ? it->second.liveIn
+                                          : analysis::AllRegsMask;
+    }
+
+    // Stamp every edit with its original region (containing block
+    // leader) and that block's live-out mask, the anchor the semantic
+    // translation validator proves live-out consistency against.
+    for (DistillEdit &e : out.report.edits) {
+        auto blk_it = cfg.blocks().upper_bound(e.origPc);
+        if (blk_it == cfg.blocks().begin())
+            continue;
+        --blk_it;
+        if (e.origPc >= blk_it->second.endPc())
+            continue;
+        e.regionStart = blk_it->second.start;
+        auto live_it = live.find(e.regionStart);
+        e.liveOut = live_it != live.end() ? live_it->second.liveOut
+                                          : analysis::AllRegsMask;
+    }
+}
+
 } // anonymous namespace
 
 DistilledProgram
@@ -144,7 +206,6 @@ layout(const DistillIr &ir, DistillReport report)
         }
 
         for (const IrInst &iinst : blk.body) {
-            out.pcOrigin[pc] = iinst.origPc;
             if (iinst.kind == IrInst::Kind::Normal) {
                 emit(iinst.inst);
                 continue;
@@ -233,62 +294,6 @@ layout(const DistillIr &ir, DistillReport report)
     report.distilledStaticInsts = emitted_words;
     out.report = report;
     return out;
-}
-
-void
-runDistillPasses(DistillIr &ir, const ProfileData &profile,
-                 const DistillerOptions &opts, const Program &orig,
-                 DistillReport &report)
-{
-    if (opts.enableBranchPrune)
-        passBranchPrune(ir, profile, opts, report);
-    passUnreachableElim(ir, report);
-    if (opts.enableConstFold)
-        passConstFold(ir, report);
-    if (opts.enableDce)
-        passDce(ir, report);
-    if (opts.enableSilentStoreElim)
-        passSilentStoreElim(ir, profile, opts, report);
-    if (opts.enableValueSpec) {
-        passValueSpec(ir, profile, opts, orig, report);
-        // Value speculation exposes new constants and dead code.
-        if (opts.enableConstFold)
-            passConstFold(ir, report);
-        if (opts.enableDce)
-            passDce(ir, report);
-    }
-}
-
-void
-finalizeDistilled(DistilledProgram &out, const Cfg &cfg)
-{
-    // Checkpoint map: the register live-in mask of every task, from
-    // the *original* program's liveness (the task runs original
-    // code). This is the distiller's static completeness claim; see
-    // DistilledProgram::checkpointRegs and mssp-lint's checks.
-    std::map<uint32_t, BlockLiveness> live = computeLiveness(cfg);
-    for (uint32_t orig_pc : out.taskMap) {
-        auto it = live.find(orig_pc);
-        out.checkpointRegs[orig_pc] = it != live.end()
-                                          ? it->second.liveIn
-                                          : analysis::AllRegsMask;
-    }
-
-    // Stamp every edit with its original region (containing block
-    // leader) and that block's live-out mask, the anchor the semantic
-    // translation validator proves live-out consistency against.
-    for (DistillEdit &e : out.report.edits) {
-        auto blk_it = cfg.blocks().upper_bound(e.origPc);
-        if (blk_it == cfg.blocks().begin())
-            continue;
-        --blk_it;
-        if (e.origPc >= blk_it->second.endPc())
-            continue;
-        e.regionStart = blk_it->second.start;
-        auto live_it = live.find(e.regionStart);
-        e.liveOut = live_it != live.end() ? live_it->second.liveOut
-                                          : analysis::AllRegsMask;
-    }
 }
 
 DistilledProgram

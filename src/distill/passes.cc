@@ -412,32 +412,6 @@ distillPassFromName(const std::string &name, DistillEdit::Pass &pass)
     return false;
 }
 
-const char *
-valueProofName(ValueProof proof)
-{
-    switch (proof) {
-      case ValueProof::Proven: return "proven";
-      case ValueProof::Likely: return "likely";
-    }
-    return "?";
-}
-
-bool
-valueProofFromName(const std::string &name, ValueProof &proof)
-{
-    static constexpr ValueProof kAll[] = {
-        ValueProof::Proven,
-        ValueProof::Likely,
-    };
-    for (ValueProof p : kAll) {
-        if (name == valueProofName(p)) {
-            proof = p;
-            return true;
-        }
-    }
-    return false;
-}
-
 bool
 distillPassIsApproximate(DistillEdit::Pass pass)
 {

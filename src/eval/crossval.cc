@@ -78,7 +78,7 @@ class LoadFactWatcher : public SeqMachine::Observer
         if (!t.fact)
             return;
         bool hit = value == t.fact->value;
-        if (t.fact->proof == ValueProof::Proven) {
+        if (t.fact->proof == analysis::ValueProof::Proven) {
             result.provenObservations++;
             if (!hit) {
                 result.provenMismatches++;
@@ -113,70 +113,7 @@ class LoadFactWatcher : public SeqMachine::Observer
     std::map<uint32_t, Tracked> tracked_;
 };
 
-/** Watches a SEQ replay of the *original* program and scores every
- *  baked specedit's constant against the value its load reads. */
-class SpecEditWatcher : public SeqMachine::Observer
-{
-  public:
-    SpecEditWatcher(SeqMachine &machine,
-                    const std::vector<SpecEdit> &edits)
-        : machine_(machine)
-    {
-        for (const SpecEdit &e : edits)
-            tracked_[e.origPc] = {e.proof, e.value};
-        result.checkedEdits = tracked_.size();
-    }
-
-    void
-    onStep(uint32_t pc, const StepResult &res) override
-    {
-        if (!isLoad(res.inst.op))
-            return;
-        auto it = tracked_.find(pc);
-        if (it == tracked_.end())
-            return;
-        uint32_t value = loadedValue(machine_, res);
-        result.observations++;
-        bool hit = value == it->second.second;
-        if (it->second.first == ValueProof::Proven) {
-            if (!hit) {
-                result.provenMismatches++;
-                if (result.firstViolation.empty()) {
-                    result.firstViolation = strfmt(
-                        "baked load at 0x%x read 0x%x, image bakes "
-                        "0x%x",
-                        pc, value, it->second.second);
-                }
-            }
-        } else {
-            result.likelyObservations++;
-            if (hit)
-                result.likelyHits++;
-        }
-    }
-
-    SpecEditDynamicResult result;
-
-  private:
-    SeqMachine &machine_;
-    std::map<uint32_t, std::pair<ValueProof, uint32_t>> tracked_;
-};
-
 } // anonymous namespace
-
-SpecEditDynamicResult
-validateSpecEditsDynamic(const Program &orig,
-                         const DistilledProgram &dist,
-                         uint64_t max_insts)
-{
-    // The *original* program is the ground truth the baked constants
-    // claim to reproduce — replay it, not the merged image.
-    SeqMachine machine(orig);
-    SpecEditWatcher watcher(machine, dist.specEdits);
-    machine.setObserver(&watcher);
-    machine.run(max_insts);
-    return watcher.result;
-}
 
 LoadFactsDynamicResult
 validateLoadFactsDynamic(const Program &orig,

@@ -106,30 +106,6 @@ LoadFactsDynamicResult validateLoadFactsDynamic(
     const analysis::LoadFacts &facts,
     uint64_t max_insts = 20000000ull);
 
-/** What validateSpecEditsDynamic() observed. */
-struct SpecEditDynamicResult
-{
-    size_t checkedEdits = 0;        ///< specedit records tracked
-    uint64_t observations = 0;      ///< dynamic executions of those loads
-    uint64_t provenMismatches = 0;  ///< misses at Proven edits
-    uint64_t likelyObservations = 0;
-    uint64_t likelyHits = 0;
-    std::string firstViolation;     ///< first Proven mismatch, if any
-};
-
-/**
- * Replay the *original* program on the SEQ reference machine for at
- * most @p max_insts instructions and compare the value each baked
- * load (dist.specEdits, .mdo v5) actually reads against the constant
- * the speculated image carries. This is the runtime half of the
- * tamper gate: a Proven edit whose original load ever reads a
- * different value — because the record was corrupted or the analysis
- * was wrong — is a hard failure; Likely edits accumulate a hit rate.
- */
-SpecEditDynamicResult validateSpecEditsDynamic(
-    const Program &orig, const DistilledProgram &dist,
-    uint64_t max_insts = 20000000ull);
-
 /** Cross-validation over a workload set. */
 struct CrossValReport
 {

@@ -5,7 +5,6 @@
 
 #include "analysis/loadfacts.hh"
 #include "analysis/verifier.hh"
-#include "eval/adapt.hh"
 #include "eval/crossval.hh"
 #include "sim/logging.hh"
 #include "sim/parallel.hh"
@@ -45,7 +44,7 @@ SuiteReport::ok() const
 std::string
 SuiteReport::toJson() const
 {
-    std::string out = "{\"schema\": \"mssp-suite-v5\",\n";
+    std::string out = "{\"schema\": \"mssp-suite-v6\",\n";
     out += strfmt(" \"seed\": %llu, \"scale\": %s, ",
                   static_cast<unsigned long long>(options.seed),
                   fmtG(options.scale).c_str());
@@ -78,12 +77,6 @@ SuiteReport::toJson() const
             "\"msspCycles\": %llu, \"speedup\": %s, "
             "\"masterInsts\": %llu, "
             "\"distillRatio\": %s, \"meanTaskSize\": %s}, "
-            "\"speculation\": {\"baked\": %zu, "
-            "\"bakedProven\": %zu, \"iterations\": %zu, "
-            "\"converged\": %s, \"despeculated\": %zu, "
-            "\"lintErrors\": %zu, \"editMismatches\": %llu, "
-            "\"run\": {\"ok\": %s, \"msspCycles\": %llu, "
-            "\"speedup\": %s, \"masterInsts\": %llu}}, "
             "\"crossval\": {\"divergenceSquashes\": %llu, "
             "\"consistent\": %s}, \"ok\": %s}%s\n",
             w.name.c_str(), w.lintErrors, w.lintWarnings, w.edits,
@@ -109,14 +102,6 @@ SuiteReport::toJson() const
             static_cast<unsigned long long>(w.run.masterInsts),
             fmtG(w.run.distillRatio).c_str(),
             fmtG(w.run.meanTaskSize).c_str(),
-            w.specBaked, w.specBakedProven, w.specAdaptIterations,
-            w.specAdaptConverged ? "true" : "false",
-            w.specDespeculated, w.specImageLintErrors,
-            static_cast<unsigned long long>(w.specEditMismatches),
-            w.specRun.ok ? "true" : "false",
-            static_cast<unsigned long long>(w.specRun.msspCycles),
-            fmtG(w.specRun.speedup).c_str(),
-            static_cast<unsigned long long>(w.specRun.masterInsts),
             static_cast<unsigned long long>(w.divergenceSquashes),
             w.consistent ? "true" : "false",
             w.ok() ? "true" : "false",
@@ -142,8 +127,7 @@ SuiteReport::summary() const
 {
     Table t({"workload", "lint", "sem-err", "proven/edits",
              "loads PI/RI/R", "spec", "plan P/L", "pv-miss", "l-hit",
-             "run", "speedup", "baked P/T", "adapt", "spec-run",
-             "div-squash", "consistent", "verdict"});
+             "run", "speedup", "div-squash", "consistent", "verdict"});
     for (const SuiteWorkloadResult &w : workloads) {
         std::string lhit = "-";
         if (w.planLikelyObservations) {
@@ -170,18 +154,6 @@ SuiteReport::summary() const
                   lhit,
                   w.run.ok ? "ok" : toString(w.run.stopReason),
                   fmt2(w.run.speedup),
-                  strfmt("%zu/%zu", w.specBakedProven, w.specBaked),
-                  w.specAdaptConverged
-                      ? strfmt("conv@%zu", w.specAdaptIterations)
-                      : "NOCONV",
-                  w.specImageLintErrors || w.specEditMismatches
-                      ? strfmt("%zu err %llu miss",
-                               w.specImageLintErrors,
-                               static_cast<unsigned long long>(
-                                   w.specEditMismatches))
-                      : (w.specRun.ok ? "ok"
-                                      : toString(
-                                            w.specRun.stopReason)),
                   strfmt("%llu", static_cast<unsigned long long>(
                                      w.divergenceSquashes)),
                   w.consistent ? "yes" : "NO",
@@ -267,38 +239,6 @@ runSuite(const SuiteOptions &opts, std::ostream *log)
 
             r.run = runPrepared(name, prepared, MsspConfig{},
                                 opts.runMaxCycles);
-
-            // Speculation stage: adapt a value-speculated image off
-            // the same profile, gate it statically (all validators on
-            // the speculated image), dynamically (baked constants vs
-            // the SEQ replay of the original), and architecturally
-            // (full machine run vs the same baseline).
-            AdaptOptions aopts;
-            aopts.runMaxCycles = opts.runMaxCycles;
-            AdaptResult adapted = adaptSpeculation(
-                prepared.orig, prepared.profile,
-                DistillerOptions::paperPreset(), aopts);
-            r.specBaked = adapted.dist.specEdits.size();
-            for (const SpecEdit &e : adapted.dist.specEdits)
-                r.specBakedProven +=
-                    e.proof == ValueProof::Proven ? 1 : 0;
-            r.specAdaptIterations = adapted.iterations.size();
-            r.specAdaptConverged = adapted.converged;
-            r.specDespeculated = adapted.despeculated.size();
-            r.specImageLintErrors =
-                analysis::verifyDistilled(prepared.orig, adapted.dist)
-                    .errors() +
-                analysis::verifyDistilledSemantic(prepared.orig,
-                                                  adapted.dist)
-                    .lint.errors();
-            r.specEditMismatches =
-                validateSpecEditsDynamic(prepared.orig, adapted.dist)
-                    .provenMismatches;
-            PreparedWorkload spec_prepared{prepared.orig,
-                                           prepared.profile,
-                                           std::move(adapted.dist)};
-            r.specRun = runPrepared(name, spec_prepared, MsspConfig{},
-                                    opts.runMaxCycles);
 
             r.divergenceSquashes =
                 r.run.counters.tasksSquashedLiveIn +

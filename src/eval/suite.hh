@@ -12,10 +12,6 @@
  *             classes, plan candidates, and one SEQ replay for the
  *             value-change and Proven-mismatch counts + hit rates
  *   run       full MSSP machine vs the sequential baseline
- *   speculate value-speculating distiller + squash-feedback
- *             adaptation (eval/adapt.hh): the converged image is
- *             linted, its baked constants replayed against SEQ, and
- *             the machine re-run on it vs the same oracle
  *   crossval  static risk vs dynamic divergence-squash consistency,
  *             plus the ProvablyInvariant value-change and Proven
  *             prediction-mismatch gates
@@ -36,7 +32,7 @@
  * the same seam for the CI chaos job.
  *
  * The report is one deterministic JSON document (schema
- * mssp-suite-v5): per-run seeds derive from canonical job indices
+ * mssp-suite-v6): per-run seeds derive from canonical job indices
  * and results merge in canonical order, so `--jobs N` output is
  * byte-identical to `--jobs 1` (wall-clock deadline trips excepted —
  * see JobBudget). CI runs the suite on every push with all 12
@@ -110,17 +106,6 @@ struct SuiteWorkloadResult
     // MSSP run vs baseline
     WorkloadRun run;
 
-    // speculation: adapted value-speculating distillation
-    // (distill/speculate.cc + eval/adapt.hh, .mdo v5)
-    size_t specBaked = 0;          ///< specedits in converged image
-    size_t specBakedProven = 0;    ///< of those, Proven
-    size_t specAdaptIterations = 0;
-    bool specAdaptConverged = false;
-    size_t specDespeculated = 0;   ///< cumulative excluded loads
-    size_t specImageLintErrors = 0; ///< all validators, spec image
-    uint64_t specEditMismatches = 0; ///< baked vs SEQ replay (gate: 0)
-    WorkloadRun specRun;           ///< speculated image vs baseline
-
     // crossval: all-proven workloads must not squash on divergence
     uint64_t divergenceSquashes = 0;
     bool consistent = false;
@@ -130,9 +115,7 @@ struct SuiteWorkloadResult
     {
         return lintErrors == 0 && semanticErrors == 0 &&
                specViolations == 0 && planProvenMismatches == 0 &&
-               run.ok && consistent && specAdaptConverged &&
-               specImageLintErrors == 0 && specEditMismatches == 0 &&
-               specRun.ok;
+               run.ok && consistent;
     }
 };
 
@@ -163,7 +146,7 @@ struct SuiteReport
      *  type fired, and nothing was quarantined. */
     bool ok() const;
 
-    /** Deterministic JSON document (schema mssp-suite-v5; embeds the
+    /** Deterministic JSON document (schema mssp-suite-v6; embeds the
      *  campaign's mssp-faultcamp-v2 object under "campaign"). */
     std::string toJson() const;
 

@@ -167,8 +167,8 @@ MsspMachine::squash(TaskOutcome reason)
         break;
     }
     // Attribute the squash to the static fork site whose task headed
-    // the window — the table the adaptation loop (eval/adapt.hh)
-    // feeds back into re-distillation.
+    // the window (ForkSiteStat; a watchdog squash of an empty window
+    // charges no site).
     if (!window_.empty()) {
         ForkSiteStat &s = site_stats_[window_.front()->startPc];
         switch (reason) {

@@ -64,9 +64,18 @@ const char *toString(StopReason r);
 /**
  * Per-fork-site engage/squash attribution. Keyed by the *original*
  * fork-site PC (the task's startPc); squashes charge the site whose
- * task headed the window when verification failed. This is the
- * feedback signal the online adaptation loop (eval/adapt.hh) turns
- * into de-speculation decisions.
+ * task headed the window when verification failed. mssp-run prints
+ * the table. Against the run's MsspCounters it obeys:
+ *
+ *  - Σ forked == tasksForked and Σ committed == tasksCommitted;
+ *  - Σ squashedLiveIn == tasksSquashedLiveIn and
+ *    Σ squashedWrongPc == tasksSquashedWrongPc (both are only
+ *    raised by verifying a head task, so a window always exists);
+ *  - Σ squashedOther <= tasksSquashedOverrun + tasksSquashedSpurious
+ *    and Σ squashed() <= squashEvents: a watchdog squash with an
+ *    empty window charges no site;
+ *  - per site, committed + squashed() <= forked: each forked task
+ *    leaves the window head at most once, committed or squashed.
  */
 struct ForkSiteStat
 {
@@ -91,6 +100,7 @@ struct ForkSiteStat
                               static_cast<double>(attempts)
                         : 0.0;
     }
+    bool operator==(const ForkSiteStat &) const = default;
 };
 
 /** Result of an MSSP run. */

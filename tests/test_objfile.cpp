@@ -91,12 +91,13 @@ TEST(ObjFile, EditMetadataSurvivesRoundTrip)
 TEST(ObjFile, StaleFormatVersionIsRejectedWithMessage)
 {
     // Files from older builds must be rejected with a message that
-    // names both versions, not silently misparsed (v2-v4 lack
-    // specedit lines; v3-v5 carry specload/specplan records that v6
-    // no longer reads).
+    // names both versions, not silently misparsed (v3-v5 carry
+    // specload/specplan records and v5-v6 the removed bake pass's
+    // records, none of which v7 reads).
     for (const char *header :
          {"mssp-distilled v2", "mssp-distilled v3",
-          "mssp-distilled v4", "mssp-distilled v5"}) {
+          "mssp-distilled v4", "mssp-distilled v5",
+          "mssp-distilled v6"}) {
         std::string stale =
             std::string(header) + "\nentry 0x400000\n";
         try {
@@ -109,7 +110,7 @@ TEST(ObjFile, StaleFormatVersionIsRejectedWithMessage)
                       std::string::npos)
                 << e.what();
             EXPECT_NE(
-                std::string(e.what()).find("mssp-distilled v6"),
+                std::string(e.what()).find("mssp-distilled v7"),
                 std::string::npos)
                 << e.what();
         }
@@ -118,9 +119,9 @@ TEST(ObjFile, StaleFormatVersionIsRejectedWithMessage)
 
 TEST(ObjFile, LoadFactRecordsAreNotPersisted)
 {
-    // Load facts are computed on demand: a v6 image carries no
+    // Load facts are computed on demand: a v7 image carries no
     // specload/specplan lines, and a file that smuggles one in under
-    // the v6 header is malformed.
+    // the v7 header is malformed.
     setQuiet(true);
     PreparedWorkload w = prepare(test::biasedSumSource(150, 3),
                                  test::biasedSumSource(100, 4),
@@ -135,38 +136,20 @@ TEST(ObjFile, LoadFactRecordsAreNotPersisted)
         FatalError);
 }
 
-TEST(ObjFile, UnknownProofClassAndBadBenefitAreFatal)
+TEST(ObjFile, BakePassRecordsAreRejected)
 {
+    // passValueSpec logs its bakes in the edit log; the separate
+    // bake pass and its specedit records are gone, so a v7 image
+    // never carries one and a file that smuggles one in is malformed.
     setQuiet(true);
     PreparedWorkload w = prepare(test::biasedSumSource(150, 3),
                                  test::biasedSumSource(100, 4),
                                  DistillerOptions::paperPreset());
     std::string text = saveDistilled(w.dist);
+    EXPECT_EQ(text.find("specedit"), std::string::npos);
     EXPECT_THROW(loadDistilled(text + "specedit 0x400000 0x400000 5 "
-                                      "0x2000 surely 0x5 1 -\n"),
+                                      "0x2000 proven 0x5 1 -\n"),
                  FatalError);
-    EXPECT_THROW(loadDistilled(text + "specedit 0x400000 0x400000 5 "
-                                      "0x2000 proven 0x5 -3 -\n"),
-                 FatalError);
-}
-
-TEST(ObjFile, LargeBenefitSurvivesRoundTrip)
-{
-    // benefitMicro is 64-bit; a value past 2^32 must not truncate.
-    setQuiet(true);
-    PreparedWorkload w = prepare(test::biasedSumSource(150, 3),
-                                 test::biasedSumSource(100, 4),
-                                 DistillerOptions::paperPreset());
-    DistilledProgram big = w.dist;
-    SpecEdit e;
-    e.origPc = 0x10;
-    e.distPc = 0x400000;
-    e.value = 5;
-    e.benefitMicro = 0x123456789abcull;
-    big.specEdits.insert(big.specEdits.begin(), e);
-    DistilledProgram d2 = loadDistilled(saveDistilled(big));
-    ASSERT_FALSE(d2.specEdits.empty());
-    EXPECT_EQ(d2.specEdits[0].benefitMicro, 0x123456789abcull);
 }
 
 TEST(ObjFile, BadMagicIsFatal)

@@ -29,6 +29,7 @@ using analysis::LoadFacts;
 using analysis::LoadSpecClass;
 using analysis::SpecPlanCandidate;
 using analysis::SpecPlanReport;
+using analysis::ValueProof;
 using analysis::analyzeLoadFacts;
 using analysis::analyzeSpecPlan;
 

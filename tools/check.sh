@@ -14,7 +14,6 @@
 #   MSSP_SKIP_BACKENDS    backend tier smoke + differential fuzz
 #   MSSP_SKIP_LOADFACTS   load-fact sweeps, --specsafe and --plan
 #                         (sharded vs serial)
-#   MSSP_SKIP_SPECULATE   value-speculation distill/adapt/lint gate
 #   MSSP_SKIP_FAULTS      fault-injection campaign smoke
 #   MSSP_SKIP_SUPERVISOR  budget-trip + host-chaos gate
 #   MSSP_SKIP_BENCH       Release benchmark smoke (regression gate)
@@ -159,36 +158,6 @@ else
         fi
     done
     echo "load facts clean; --jobs $JOBS reports byte-identical to --jobs 1"
-fi
-
-if [[ "${MSSP_SKIP_SPECULATE:-0}" == "1" ]]; then
-    echo "== skipping speculation gate (MSSP_SKIP_SPECULATE=1)"
-else
-    # Value-speculating distiller (DESIGN.md §13): distill one
-    # workload with --speculate --adapt, require convergence and a
-    # verified image (--verify replays every proven bake against the
-    # SEQ oracle), then lint the image against the original program
-    # and check the whole flow is deterministic (a second run must
-    # produce the same bytes).
-    echo "== speculation gate (distill --speculate --adapt + lint)"
-    build/tools/mssp-distill --workload mcf --scale 0.05 \
-        --speculate --adapt 4 --verify -o "$tmp/spec-mcf.mdo"
-    spec_lint_rc=0
-    build/tools/mssp-lint --workload mcf --scale 0.05 \
-        --image "$tmp/spec-mcf.mdo" > /dev/null || spec_lint_rc=$?
-    if [[ $spec_lint_rc -gt 1 ]]; then
-        echo "check.sh: lint rejected the speculated image" \
-             "(exit $spec_lint_rc)" >&2
-        exit 1
-    fi
-    build/tools/mssp-distill --workload mcf --scale 0.05 \
-        --speculate --adapt 4 -o "$tmp/spec-mcf2.mdo"
-    if ! cmp -s "$tmp/spec-mcf.mdo" "$tmp/spec-mcf2.mdo"; then
-        echo "check.sh: speculated image is not byte-deterministic" \
-             "across re-distillation" >&2
-        exit 1
-    fi
-    echo "speculated image verified, lint-clean, byte-deterministic"
 fi
 
 if [[ "${MSSP_SKIP_FAULTS:-0}" == "1" ]]; then

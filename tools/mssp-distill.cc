@@ -7,34 +7,20 @@
  *                [--workload NAME] [--scale S]
  *                [--theta T] [--no-valuespec] [--no-silentstores]
  *                [--task-size N] [--report] [--verify]
- *                [--speculate] [--adapt N]
  *                [--timeout-ms N] [--max-insts N]
  *
  * --workload NAME distills a registry analogue (workloads/
  * workloads.hh) instead of an input file; --scale sets its size.
  *
- * --speculate runs the value-speculating distiller (distill/
- * speculate.cc): every Proven speculation-plan candidate is baked
- * into the master's image as a load-immediate, recorded as a
- * specedit, and the object is written as .mdo v6. --adapt N
- * additionally closes the squash-feedback loop (eval/adapt.hh) for
- * up to N iterations, de-speculating loads policed by
- * high-squash-rate fork sites; a loop that fails to converge within
- * the bound writes nothing and exits 1.
- *
  * --verify runs the mssp-lint static checks — the structural
  * contract and the semantic translation validation of the edit
- * log — on the freshly distilled image; on errors
- * nothing is written and the exit status is 1. On a speculated image
- * this includes the specedit record checks and a SEQ replay of the
- * original program comparing each baked constant against the values
- * the load actually reads (eval/crossval.hh).
+ * log — on the freshly distilled image; on errors nothing is
+ * written and the exit status is 1.
  *
  * --timeout-ms / --max-insts arm a whole-invocation budget
  * (sim/supervisor.hh; env defaults MSSP_JOB_TIMEOUT_MS /
- * MSSP_JOB_MAX_INSTS) covering profiling and every dynamic
- * validation replay. A budget trip writes nothing and exits 4
- * (docs/LINT.md exit-code table).
+ * MSSP_JOB_MAX_INSTS) covering profiling. A budget trip writes
+ * nothing and exits 4 (docs/LINT.md exit-code table).
  */
 
 #include <cstdio>
@@ -46,8 +32,6 @@
 #include "asm/assembler.hh"
 #include "asm/objfile.hh"
 #include "core/pipeline.hh"
-#include "eval/adapt.hh"
-#include "eval/crossval.hh"
 #include "sim/logging.hh"
 #include "sim/supervisor.hh"
 #include "util/file.hh"
@@ -77,8 +61,6 @@ main(int argc, char **argv)
     DistillerOptions opts = DistillerOptions::paperPreset();
     bool show_report = false;
     bool verify = false;
-    bool speculate = false;
-    unsigned adapt_iters = 0;
     double scale = 1.0;
     JobBudget budget = budgetFromEnv();
 
@@ -92,12 +74,6 @@ main(int argc, char **argv)
             workload_name = argv[++i];
         } else if (arg == "--scale" && i + 1 < argc) {
             scale = std::atof(argv[++i]);
-        } else if (arg == "--speculate") {
-            speculate = true;
-        } else if (arg == "--adapt" && i + 1 < argc) {
-            speculate = true;
-            adapt_iters =
-                static_cast<unsigned>(std::atoi(argv[++i]));
         } else if (arg == "--theta" && i + 1 < argc) {
             opts.biasThreshold = std::atof(argv[++i]);
         } else if (arg == "--no-valuespec") {
@@ -126,7 +102,6 @@ main(int argc, char **argv)
                          "[--theta T] [--no-valuespec] "
                          "[--no-silentstores] [--task-size N] "
                          "[--report] [--verify] "
-                         "[--speculate] [--adapt N] "
                          "[--timeout-ms N] [--max-insts N]\n");
             return 2;
         }
@@ -151,8 +126,7 @@ main(int argc, char **argv)
     }
 
     try {
-        // Whole-invocation budget: profiling and every dynamic
-        // validation replay count against it.
+        // Whole-invocation budget: profiling counts against it.
         Supervision sup(budget);
         std::optional<SupervisionScope> scope;
         if (budget.active())
@@ -168,33 +142,6 @@ main(int argc, char **argv)
             train = train_path.empty() ? ref : loadAny(train_path);
         }
         PreparedWorkload w = prepare(ref, train, opts);
-
-        if (adapt_iters > 0) {
-            AdaptOptions aopts;
-            aopts.maxIters = adapt_iters;
-            AdaptResult adapted =
-                adaptSpeculation(ref, w.profile, opts, aopts);
-            for (const AdaptIteration &it : adapted.iterations) {
-                std::printf("adapt gen %u: %zu baked, %llu squash "
-                            "events, de-speculated %zu\n",
-                            it.generation, it.baked,
-                            static_cast<unsigned long long>(
-                                it.squashEvents),
-                            it.despeculated.size());
-            }
-            if (!adapted.converged) {
-                std::fprintf(stderr,
-                             "mssp-distill: squash-feedback loop did "
-                             "not converge in %u iteration(s); not "
-                             "writing %s\n",
-                             adapt_iters, out_path.c_str());
-                return 1;
-            }
-            w.dist = std::move(adapted.dist);
-        } else if (speculate) {
-            w.dist = distillSpeculated(ref, w.profile, opts,
-                                       SpeculateOptions{});
-        }
 
         if (verify) {
             analysis::LintReport rep =
@@ -213,21 +160,6 @@ main(int argc, char **argv)
                              out_path.c_str());
                 return 1;
             }
-            if (!w.dist.specEdits.empty()) {
-                SpecEditDynamicResult dyn =
-                    validateSpecEditsDynamic(ref, w.dist);
-                if (dyn.provenMismatches) {
-                    std::fprintf(stderr,
-                                 "mssp-distill: %llu baked-value "
-                                 "mismatch(es) against the SEQ "
-                                 "replay (%s); not writing %s\n",
-                                 static_cast<unsigned long long>(
-                                     dyn.provenMismatches),
-                                 dyn.firstViolation.c_str(),
-                                 out_path.c_str());
-                    return 1;
-                }
-            }
         }
         writeFile(out_path, saveDistilled(w.dist));
         std::printf("%s: %zu -> %zu static insts, %zu fork sites "
@@ -235,16 +167,6 @@ main(int argc, char **argv)
                     input_name.c_str(), w.dist.report.origStaticInsts,
                     w.dist.report.distilledStaticInsts,
                     w.dist.taskMap.size(), out_path.c_str());
-        if (!w.dist.specEdits.empty() || !w.dist.specDropped.empty()) {
-            size_t proven = 0;
-            for (const SpecEdit &e : w.dist.specEdits)
-                proven += e.proof == ValueProof::Proven ? 1 : 0;
-            std::printf("speculation: %zu baked (%zu proven), "
-                        "%zu de-speculated, generation %u\n",
-                        w.dist.specEdits.size(), proven,
-                        w.dist.specDropped.size(),
-                        w.dist.specGeneration);
-        }
         if (show_report)
             std::fputs(w.dist.report.toString().c_str(), stdout);
     } catch (const StatusError &e) {

@@ -11,9 +11,9 @@
  * object; --compare additionally runs the sequential oracle and
  * verifies output equivalence (exit status reflects it).
  * --site-stats prints the per-fork-site squash/engage table
- * (MsspResult::siteStats) the adaptation loop feeds on — one row per
- * static fork site with forked/committed/squash counts split by
- * squash reason and the resulting squash rate.
+ * (MsspResult::siteStats) — one row per static fork site with
+ * forked/committed/squash counts split by squash reason and the
+ * resulting squash rate.
  *
  * --backend selects the execution tier (ref | threaded | blockjit;
  * see src/exec/backend.hh) and overrides the MSSP_EXEC_BACKEND

@@ -1,12 +1,8 @@
 /**
  * @file
  * mssp-suite: the full evaluation (distill -> lint -> semantic ->
- * load facts -> run -> speculate -> crossval -> fault campaign)
- * over the whole workload suite as one sharded job graph
- * (docs/CI.md). The speculate stage runs the value-speculating
- * distiller through its squash-feedback adaptation loop
- * (eval/adapt.hh) and gates the converged image statically,
- * dynamically and architecturally.
+ * load facts -> run -> crossval -> fault campaign) over the whole
+ * workload suite as one sharded job graph (docs/CI.md).
  *
  *   mssp-suite [--workloads gzip,mcf,...] [--scale F] [--seed N]
  *              [--jobs N] [--intensities 1,10] [--max-cycles N]
@@ -25,7 +21,7 @@
  * Exit status (docs/LINT.md): 0 when every workload passed every
  * evaluation gate AND the campaign held every invariant with every
  * fault type firing; 5 when the only blemish is quarantined jobs;
- * 1 otherwise. The JSON report (schema mssp-suite-v5) is
+ * 1 otherwise. The JSON report (schema mssp-suite-v6) is
  * byte-deterministic for fixed options regardless of --jobs: CI runs
  * the suite sharded, reruns it with --jobs 1, and diffs the bytes
  * (wall-clock-deadline quarantines excepted — they are host-timing
