@@ -5,6 +5,7 @@
 #include "exec/blockjit.hh"
 #include "exec/executor.hh"
 #include "fault/fault.hh"
+#include "mssp/budget.hh"
 #include "sim/logging.hh"
 #include "sim/supervisor.hh"
 
@@ -271,14 +272,16 @@ MsspMachine::commitFront()
     master_.sweepDeltaAgainstArch(cfg_.checkpointSweepCells);
 }
 
+Cycle
+MsspMachine::commitCycle() const
+{
+    return std::max<Cycle>(window_.front()->readyAt, commit_busy_until_);
+}
+
 void
 MsspMachine::tickCommit()
 {
-    if (now_ < commit_busy_until_ || window_.empty())
-        return;
     Task &t = *window_.front();
-    if (!t.done())
-        return;
 
     auto squash_with_hook = [&](TaskOutcome reason) {
         if (squash_hook_)
@@ -368,8 +371,8 @@ MsspMachine::tickSpawnDelivery()
 {
     while (!arrived_.empty()) {
         auto idle = std::find_if(slaves_.begin(), slaves_.end(),
-                                 [](const SlaveCore &s) {
-                                     return s.idle();
+                                 [this](const SlaveCore &s) {
+                                     return s.idleAt(now_);
                                  });
         if (idle == slaves_.end())
             return;
@@ -431,32 +434,126 @@ MsspMachine::injectSlaveFaults()
     }
 }
 
-void
-MsspMachine::tickSlaves()
+SlaveCore *
+MsspMachine::headSlave()
 {
-    if (injector_)
-        injectSlaveFaults();
-    for (auto &slave : slaves_) {
-        unsigned executed = slave.tick();
-        ctrs_.slaveInsts += executed;
-        // Free the slave as soon as its task is complete: the task's
-        // live-in/live-out data now lives with the verify/commit unit
-        // (the window), exactly as in the paper.
-        if (Task *t = slave.task(); t && t->done())
-            slave.release();
+    if (window_.empty())
+        return nullptr;
+    Task *t = window_.front().get();
+    if (t->done() || t->slaveId < 0)
+        return nullptr;
+    SlaveCore &s = slaves_[static_cast<size_t>(t->slaveId)];
+    return s.task() == t ? &s : nullptr;
+}
+
+bool
+MsspMachine::pipelineEmpty() const
+{
+    return window_.empty() && spawn_queue_.empty() && arrived_.empty();
+}
+
+inline Cycle
+MsspMachine::quantumEnd(uint64_t max_cycles, bool supervised) const
+{
+    // Fault draws happen per cycle, and an arrived task that found no
+    // idle slave retries next cycle: both pin the horizon to 1.
+    if (cycle_stepped_ || injector_ || !arrived_.empty())
+        return now_ + 1;
+    Cycle end = max_cycles;
+    if (supervised)
+        end = std::min<Cycle>(end, (now_ | 1023) + 1);
+    if (!spawn_queue_.empty())
+        end = std::min(end, spawn_queue_.front().due);
+    if (mode_ == Mode::Restarting) {
+        // A restart due now (zero squash penalty) is seen next cycle.
+        end = std::min(end, std::max<Cycle>(restart_at_, now_ + 1));
     }
+    if (mode_ == Mode::Spec) {
+        // The watchdog fires at the end of the first cycle past
+        // watchdogCycles, so that cycle is the quantum's last.
+        end = std::min<Cycle>(end, last_commit_cycle_ +
+                                       cfg_.watchdogCycles + 2);
+    }
+    if (!window_.empty() && window_.front()->done()) {
+        // This cycle's commit (if any) is done: at most one per cycle.
+        end = std::min(end, std::max<Cycle>(commitCycle(), now_ + 1));
+    }
+    return end;
 }
 
 void
-MsspMachine::tickMaster()
+MsspMachine::runQuantum(Cycle end)
 {
-    if (mode_ != Mode::Spec || !master_.running())
-        return;
+    MSSP_ASSERT(end > now_);
+    const bool spec = mode_ == Mode::Spec;
+    if (injector_)
+        injectSlaveFaults();
+
+    // 1. The head task's slave: its completion fixes the next commit.
+    //    (A one-cycle quantum cannot end sooner, and a decision held
+    //    in its only cycle settles as a pause, so there the head is
+    //    just one of the slaves.)
+    SlaveCore *head = end > now_ + 1 ? headSlave() : nullptr;
+    if (head) {
+        ctrs_.slaveInsts += head->advance(end, /*hold=*/true);
+        if (window_.front()->done())
+            end = std::min(end, commitCycle());
+    }
+
+    // 2. The master (no effect other cores can see yet) or the
+    //    sequential fallback, up to its next interaction.
+    MasterWork work;
+    if (spec)
+        end = advanceMaster(end, &work);
+    else if (mode_ == Mode::Seq)
+        end = advanceSeq(end);
+
+    // 3. Every slave through the quantum. A decision the head held at
+    //    a cycle inside the quantum is a pause: the master reveals
+    //    nothing before the quantum's last cycle.
+    if (head && head->pending() && head->clock() < end)
+        head->settlePause();
+    for (auto &slave : slaves_)
+        ctrs_.slaveInsts += slave.advance(end);
+
+    // 4. The master's interaction in the last cycle, then that
+    //    cycle's end-of-cycle checks.
+    now_ = end - 1;
+    if (spec) {
+        if (work.halted) {
+            if (Task *prev = youngest(); prev && !prev->endKnown)
+                prev->runToHalt = true;
+        }
+        if (work.finishCycle)
+            spendMasterBudget();
+        ctrs_.masterForkInsts = master_.forkInsts();
+        if (!master_.running() && pipelineEmpty()) {
+            // Dead master (halted/faulted/runaway-killed), empty
+            // pipeline: nothing can ever commit, so restart now
+            // instead of sitting out the watchdog. Counts as an
+            // engage failure — a master that dies right after
+            // every restart must escalate into Seq backoff, not
+            // spin restart/die forever.
+            noteMasterDead();
+        } else {
+            checkWatchdog();
+        }
+    }
+    now_ = end;
+}
+
+Cycle
+MsspMachine::advanceMaster(Cycle end, MasterWork *work)
+{
+    const Cycle start = now_;
+    if (!master_.running())
+        return pipelineEmpty() ? start + 1 : end;
     if (injector_)
         injectMasterFaults();
+    const uint64_t since_fork =
+        master_.instsSinceRestart() - master_insts_at_last_fork_;
     if (cfg_.masterRunawayInsts > 0 && master_.running() &&
-        master_.instsSinceRestart() - master_insts_at_last_fork_ >
-            cfg_.masterRunawayInsts) {
+        since_fork > cfg_.masterRunawayInsts) {
         // The master is burning instructions without forking (e.g. a
         // corrupted PC landed it in an infinite non-fork loop). The
         // watchdog cannot see this while older tasks keep committing,
@@ -464,20 +561,92 @@ MsspMachine::tickMaster()
         // master-dead path restarts it.
         master_.stop();
         ++ctrs_.masterRunawayKills;
-        return;
+        return start + 1;
     }
-    master_budget_ += cfg_.masterIpc;
 
+    const double ipc = cfg_.masterIpc;
+    if (window_.size() >= cfg_.maxInFlightTasks &&
+        master_.nextForkWouldSpawn()) {
+        // Stalled in front of a spawning FORK on a full window, until
+        // a commit, which is beyond this quantum.
+        stallMaster(start, end);
+        return end;
+    }
+
+    // One slice for the whole quantum. It stops in front of the next
+    // spawning FORK, and once the master crosses the runaway
+    // threshold (checked at the start of the following cycle).
+    double after_all = master_budget_;
+    const uint64_t offered = drainCycles(after_all, ipc, end - start);
+    uint64_t cap = offered;
+    if (cfg_.masterRunawayInsts > 0) {
+        cap = std::min<uint64_t>(
+            cap, cfg_.masterRunawayInsts + 1 - since_fork);
+    }
+    uint64_t executed = 0;
+    MasterStep st = master_.runSlice(cap, &executed);
+    ctrs_.masterInsts += executed;
+
+    // The quantum ends after the cycle of the attempt that stopped
+    // the master; master_budget_ becomes what is left of that cycle.
+    if (st == MasterStep::Halted) {
+        work->halted = true;
+        return start + cyclesToAttempt(master_budget_, ipc, executed);
+    }
+    if (st == MasterStep::Faulted) {
+        // The faulting attempt is the one after the last retired.
+        return start + cyclesToAttempt(master_budget_, ipc, executed + 1);
+    }
+    if (executed == offered) {
+        master_budget_ = after_all;
+        return end;
+    }
+    if (executed == cap) {
+        // Crossed the runaway threshold: spend the rest of this cycle
+        // after the slaves have run; the kill comes next cycle.
+        work->finishCycle = true;
+        return start + cyclesToAttempt(master_budget_, ipc, executed);
+    }
+
+    // In front of a FORK that spawns (or faults), in the cycle of the
+    // next attempt; the attempt itself is not made yet.
+    Cycle cycles = cyclesToAttempt(master_budget_, ipc, executed + 1);
+    master_budget_ += 1.0;
+    if (window_.size() < cfg_.maxInFlightTasks ||
+        !master_.nextForkWouldSpawn()) {
+        work->finishCycle = true;
+        return start + cycles;
+    }
+    // Full window: the master stalls from this cycle on.
+    ++ctrs_.masterStallWindowFull;
+    master_budget_ = 0.0;
+    stallMaster(start + cycles, end);
+    return end;
+}
+
+void
+MsspMachine::stallMaster(Cycle from, Cycle end)
+{
+    // The stall repeats in every cycle the master's budget comes
+    // around (every cycle at masterIpc >= 1).
+    for (Cycle c = from; c < end; ++c) {
+        master_budget_ += cfg_.masterIpc;
+        if (master_budget_ >= 1.0) {
+            ++ctrs_.masterStallWindowFull;
+            master_budget_ = 0.0;
+        }
+    }
+}
+
+void
+MsspMachine::spendMasterBudget()
+{
     while (master_budget_ >= 1.0 && master_.running()) {
         if (!master_.atFork()) {
-            // Between forks the master runs a whole budget's worth of
-            // instructions on the execution tier in one slice; the
-            // engine stops in front of the next FORK so the capacity
-            // gate below still sees every spawn attempt.
-            auto avail = static_cast<unsigned>(master_budget_);
-            unsigned executed = 0;
+            auto avail = static_cast<uint64_t>(master_budget_);
+            uint64_t executed = 0;
             MasterStep st = master_.runSlice(avail, &executed);
-            master_budget_ -= executed;
+            master_budget_ -= static_cast<double>(executed);
             ctrs_.masterInsts += executed;
             if (st == MasterStep::Halted) {
                 if (Task *prev = youngest(); prev && !prev->endKnown)
@@ -486,7 +655,7 @@ MsspMachine::tickMaster()
             }
             if (st == MasterStep::Faulted)
                 return;
-            continue;  // in front of a FORK, or budget drained
+            continue;  // in front of a spawning FORK, or budget drained
         }
         // Cheap capacity test first: the fork-site peek only matters
         // when the window is actually full.
@@ -554,13 +723,10 @@ MsspMachine::tickMaster()
     }
 }
 
-void
-MsspMachine::tickSeq()
+Cycle
+MsspMachine::advanceSeq(Cycle end)
 {
-    if (mode_ != Mode::Seq)
-        return;
-    ++ctrs_.seqModeCycles;
-    seq_budget_ += cfg_.slaveIpc;
+    const Cycle start = now_;
     SeqArchContext ctx(arch_, device_, outputs_);
 
     // Per-step obligations (instret, backoff countdowns, the
@@ -594,31 +760,34 @@ MsspMachine::tickSeq()
         }
     };
 
-    const BackendKind backend = resolveHookedBackend(cfg_.execBackend);
-    while (seq_budget_ >= 1.0 && !halted_ && !faulted_) {
-        auto avail = static_cast<uint64_t>(seq_budget_);
-        SeqHook hook{*this};
-        EngineResult er = runOnBackend(backend, orig_decode_,
-                                       arch_.pc(), avail, ctx, nullptr,
-                                       hook);
-        // The budget counts attempts: a faulting one consumed a slot.
-        seq_budget_ -= static_cast<double>(
-            er.retired + (er.status == StepStatus::Illegal ? 1 : 0));
-        arch_.setPc(er.pc);
-        if (er.status == StepStatus::Illegal) {
-            faulted_ = true;
-            return;
-        }
-        if (er.status == StepStatus::Halted) {
-            halted_ = true;
-            return;
-        }
-        if (hook.engage) {
-            engageMaster();
-            if (mode_ == Mode::Spec)
-                return;
-        }
+    // One slice for the whole quantum; it stops early only at a halt,
+    // a fault or a chance to re-engage the master.
+    const double ipc = cfg_.slaveIpc;
+    double after_all = seq_budget_;
+    const uint64_t offered = drainCycles(after_all, ipc, end - start);
+    SeqHook hook{*this};
+    EngineResult er =
+        runOnBackend(resolveHookedBackend(cfg_.execBackend), orig_decode_,
+                     arch_.pc(), offered, ctx, nullptr, hook);
+    arch_.setPc(er.pc);
+    const bool illegal = er.status == StepStatus::Illegal;
+    if (!illegal && er.status != StepStatus::Halted && !hook.engage) {
+        seq_budget_ = after_all;
+        ctrs_.seqModeCycles += end - start;
+        return end;
     }
+    // The budget counts attempts: a faulting one consumed a slot.
+    Cycle cycles = cyclesToAttempt(seq_budget_, ipc,
+                                   er.retired + (illegal ? 1 : 0));
+    ctrs_.seqModeCycles += cycles;
+    now_ = start + cycles - 1;
+    if (illegal)
+        faulted_ = true;
+    else if (er.status == StepStatus::Halted)
+        halted_ = true;
+    else
+        engageMaster();
+    return start + cycles;
 }
 
 void
@@ -651,10 +820,11 @@ MsspResult
 MsspMachine::run(uint64_t max_cycles)
 {
     // Job supervision (sim/supervisor.hh): polled every 1024 cycles
-    // at the top of the cycle loop — a consistent point, so a budget
-    // trip throws with all speculative and architected state intact
-    // (the machine can be inspected or resumed). Unsupervised runs
-    // pay one null test per cycle.
+    // at the top of the loop — a consistent point (every poll cycle is
+    // a quantum boundary), so a budget trip throws with all
+    // speculative and architected state intact (the machine can be
+    // inspected or resumed). Unsupervised runs pay one null test per
+    // quantum.
     Supervision *sup = currentSupervision();
     uint64_t sup_exec = 0;
     uint64_t sup_commit = 0;
@@ -663,6 +833,9 @@ MsspMachine::run(uint64_t max_cycles)
                    ctrs_.seqModeInsts;
         sup_commit = arch_.instret();
     }
+    // Each iteration does what happens at the top of cycle now_, then
+    // advances every core to the horizon in one quantum (runQuantum).
+    // The per-cycle schedule is the horizon-1 case of the same loop.
     while (now_ < max_cycles && !halted_ && !faulted_) {
         if (sup && (now_ & 1023) == 0) {
             sup->checkOrThrow();
@@ -681,36 +854,17 @@ MsspMachine::run(uint64_t max_cycles)
         }
         if (mode_ == Mode::Restarting && now_ >= restart_at_)
             engageMaster();
-        // Per-cycle units are guarded here so the common cases (empty
-        // window, head task still running, idle delivery queue) cost
-        // a branch, not a call (this loop runs once per cycle).
-        if (!window_.empty() && now_ >= commit_busy_until_ &&
-            window_.front()->done()) {
+        // At most one commit per cycle; the common cases (empty
+        // window, head task still running) cost a branch.
+        if (!window_.empty() && window_.front()->done() &&
+            now_ >= commitCycle()) {
             tickCommit();
             if (halted_ || faulted_)
                 break;
         }
         if (!arrived_.empty())
             tickSpawnDelivery();
-        tickSlaves();
-        if (mode_ == Mode::Spec) {
-            tickMaster();
-            if (!master_.running() && window_.empty() &&
-                spawn_queue_.empty() && arrived_.empty()) {
-                // Dead master (halted/faulted/runaway-killed), empty
-                // pipeline: nothing can ever commit, so restart now
-                // instead of sitting out the watchdog. Counts as an
-                // engage failure — a master that dies right after
-                // every restart must escalate into Seq backoff, not
-                // spin restart/die forever.
-                noteMasterDead();
-            } else {
-                checkWatchdog();
-            }
-        } else if (mode_ == Mode::Seq) {
-            tickSeq();
-        }
-        ++now_;
+        runQuantum(quantumEnd(max_cycles, sup != nullptr));
     }
 
     for (const auto &slave : slaves_) {
@@ -774,6 +928,8 @@ MsspMachine::dumpStats(std::ostream &os) const
         "squashes forced by the watchdog");
     row("masterInsts", c.masterInsts,
         "distilled instructions executed");
+    row("masterForkInsts", c.masterForkInsts,
+        "FORKs the master executed, spawning or not");
     row("slaveInsts", c.slaveInsts,
         "original instructions executed on slaves");
     row("wastedSlaveInsts", c.wastedSlaveInsts,

@@ -21,6 +21,14 @@
  * at the architected PC with an empty checkpoint, so its live-ins are
  * read straight from architected state and it always verifies: that
  * task *is* the paper's non-speculative recovery task.
+ *
+ * Time advances in quanta: run() moves every core from the current
+ * cycle to the next cycle at which anything outside the cores can
+ * happen (a spawn delivery, a commit, a spawning fork, a restart, the
+ * watchdog, ...), and the result is identical to stepping every core
+ * once per cycle (DESIGN.md §8, "Quantum scheduling"). An attached
+ * FaultInjector draws per cycle, so it pins every quantum to one
+ * cycle until its draws can be skipped ahead (ROADMAP item 3).
  */
 
 #ifndef MSSP_MSSP_MACHINE_HH
@@ -129,6 +137,8 @@ struct MsspCounters
     uint64_t squashEvents = 0;
     uint64_t watchdogSquashes = 0;
     uint64_t masterInsts = 0;
+    /** FORKs the master executed, spawning or not. */
+    uint64_t masterForkInsts = 0;
     uint64_t slaveInsts = 0;         ///< executed, incl. wasted
     uint64_t wastedSlaveInsts = 0;   ///< from squashed tasks
     uint64_t seqModeInsts = 0;
@@ -158,6 +168,8 @@ struct MsspCounters
     uint64_t slaveArchStallCycles = 0;
     uint64_t slavePauseCycles = 0;
     uint64_t slaveIdleCycles = 0;
+
+    bool operator==(const MsspCounters &) const = default;
 };
 
 /**
@@ -181,6 +193,8 @@ struct RecoveryReport
 
     /** Multi-line human-readable rendering. */
     std::string toString() const;
+
+    bool operator==(const RecoveryReport &) const = default;
 };
 
 /** The full MSSP chip-multiprocessor model. */
@@ -199,9 +213,10 @@ class MsspMachine
      * Run until the program halts/faults or @p max_cycles elapse.
      *
      * When a Supervision is installed on the calling thread
-     * (sim/supervisor.hh), the loop polls it every 1024 cycles and
-     * throws StatusError on a budget trip or cancellation — always
-     * between cycles, so the machine stays consistent and resumable.
+     * (sim/supervisor.hh), the loop polls it every 1024 cycles (each
+     * poll cycle ends a quantum) and throws StatusError on a budget
+     * trip or cancellation — always between cycles, so the machine
+     * stays consistent and resumable.
      * Executed work is charged as master + slave + seq-mode
      * instructions; retired work as architected instret.
      */
@@ -228,12 +243,22 @@ class MsspMachine
      * injector must outlive the run. Every consultation site is
      * guarded by this single pointer check, so a detached machine
      * pays one predictable branch per hook — see the BM_MsspMachine
-     * A/B in EXPERIMENTS.md.
+     * A/B in EXPERIMENTS.md. The injector draws once per cycle, so
+     * while one is attached every quantum is one cycle long (until
+     * ROADMAP item 3 makes its draws skippable).
      */
     void setFaultInjector(FaultInjector *injector);
 
     /** Current sequential-backoff length (tests/diagnostics). */
     uint64_t currentSeqBackoff() const { return seq_backoff_; }
+
+    /**
+     * Test seam: advance one cycle per scheduling step instead of one
+     * quantum. Results are identical by construction (run() is the
+     * same loop with every horizon pinned to 1); the lockstep gate
+     * tests/test_scheduler_fuzz.cpp checks it.
+     */
+    void setCycleStepped(bool on) { cycle_stepped_ = on; }
 
     /** Committed-task observer hook (used by the task-safety tests):
      *  called with each task right before its live-outs commit. */
@@ -249,11 +274,38 @@ class MsspMachine
   private:
     enum class Mode : uint8_t { Spec, Seq, Restarting };
 
+    /** Master work of a quantum's last cycle that other cores must
+     *  not see before they have run through it. */
+    struct MasterWork
+    {
+        bool halted = false;        ///< mark the youngest runToHalt
+        bool finishCycle = false;   ///< spend the cycle's budget left
+    };
+
     void tickCommit();
     void tickSpawnDelivery();
-    void tickSlaves();
-    void tickMaster();
-    void tickSeq();
+    /** First cycle the (done) head task can commit. */
+    Cycle commitCycle() const;
+    /** The slave running the (unfinished) head task, if any. */
+    SlaveCore *headSlave();
+    bool pipelineEmpty() const;
+    /** The horizon: the first cycle at which anything outside the
+     *  cores can happen (see DESIGN.md §8, "Quantum scheduling"). */
+    Cycle quantumEnd(uint64_t max_cycles, bool supervised) const;
+    /** Advance every core from now_ to @p end or to the master's or
+     *  head task's next interaction, whichever is first. */
+    void runQuantum(Cycle end);
+    /** The master's part of a quantum, without effects other cores
+     *  can see (those go to @p work); returns the quantum's end. */
+    Cycle advanceMaster(Cycle end, MasterWork *work);
+    /** Run the master on what is left of this cycle's budget. */
+    void spendMasterBudget();
+    /** Charge cycles [@p from, @p end) of a master stalled on a full
+     *  task window. */
+    void stallMaster(Cycle from, Cycle end);
+    /** Sequential fallback through @p end or its first halt, fault or
+     *  re-engagement; returns the quantum's end. */
+    Cycle advanceSeq(Cycle end);
     void checkWatchdog();
 
     void squash(TaskOutcome reason);
@@ -292,7 +344,7 @@ class MsspMachine
      *  and the sequential fallback (code is immutable). */
     DecodeCache orig_decode_{orig_};
     ForkSiteSet fork_site_pcs_;
-    /** Slaves live by value: tickSlaves walks them every cycle. */
+    /** Slaves live by value: every quantum walks them all. */
     std::vector<SlaveCore> slaves_;
 
     std::deque<std::unique_ptr<Task>> window_;   ///< fork order
@@ -339,6 +391,7 @@ class MsspMachine
 
     bool halted_ = false;
     bool faulted_ = false;
+    bool cycle_stepped_ = false;
     uint64_t next_task_id_ = 1;
 
     OutputStream outputs_;

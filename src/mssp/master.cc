@@ -7,25 +7,55 @@ namespace mssp
 {
 
 MasterStep
-MasterCore::runSlice(unsigned max_steps, unsigned *executed)
+MasterCore::runSlice(uint64_t max_steps, uint64_t *executed)
 {
     MSSP_ASSERT(running());
-    SliceHook hook{*this};
-    EngineResult er = runOnBackend(backend_, decode_, pc_, max_steps,
-                                   *this, nullptr, hook);
-    pc_ = er.pc;
-    total_insts_ += er.retired;
-    insts_since_restart_ += er.retired;
-    *executed = static_cast<unsigned>(er.retired);
-    if (hook.translationFault || er.status == StepStatus::Illegal) {
-        faulted_ = true;
-        return MasterStep::Faulted;
+    *executed = 0;
+    for (;;) {
+        SliceHook hook{*this};
+        EngineResult er = runOnBackend(backend_, decode_, pc_,
+                                       max_steps - *executed, *this,
+                                       nullptr, hook);
+        pc_ = er.pc;
+        total_insts_ += er.retired;
+        insts_since_restart_ += er.retired;
+        *executed += er.retired;
+        if (hook.translationFault || er.status == StepStatus::Illegal) {
+            faulted_ = true;
+            return MasterStep::Faulted;
+        }
+        if (er.status == StepStatus::Halted) {
+            halted_ = true;
+            return MasterStep::Halted;
+        }
+        // The engine stops in front of every FORK (the hook stays a
+        // single compare, so the tier inlines the instruction
+        // semantics); run through the ones that do not spawn.
+        if (*executed == max_steps || !passFork(decode_.at(pc_)))
+            return MasterStep::Executed;  // budget out, or spawn ahead
+        pc_ += 1;
+        ++total_insts_;
+        ++insts_since_restart_;
+        ++*executed;
     }
-    if (er.status == StepStatus::Halted) {
-        halted_ = true;
-        return MasterStep::Halted;
-    }
-    return MasterStep::Executed;  // in front of a FORK, or budget out
+}
+
+bool
+MasterCore::passFork(const Instruction &inst)
+{
+    auto idx = static_cast<uint32_t>(inst.imm);
+    if (first_fork_pending_ || idx >= dist_.taskMap.size())
+        return false;
+    uint32_t orig_pc = dist_.taskMap[idx];
+    uint32_t *arrivals = findSiteArrivals(orig_pc);
+    if ((arrivals ? *arrivals : 0) + 1 >= requiredArrivals(idx))
+        return false;
+    if (arrivals)
+        ++*arrivals;
+    else
+        site_arrivals_.push_back({orig_pc, 1});
+    ++fork_insts_;
+    return true;
 }
 
 bool
@@ -40,7 +70,6 @@ MasterCore::restart(uint32_t orig_pc)
     delta_.clear();
     dirty_regs_ = 0;
     site_arrivals_.clear();
-    forks_seen_since_spawn_ = 0;
     insts_since_restart_ = 0;
     running_ = true;
     halted_ = false;
@@ -88,25 +117,20 @@ MasterCore::stepFork(const Instruction &inst, ForkInfo *fork_out)
         faulted_ = true;
         return MasterStep::Faulted;
     }
-    uint32_t orig_pc = dist_.taskMap[idx];
-    uint32_t arrivals = bumpSiteArrivals(orig_pc);
-    ++forks_seen_since_spawn_;
-
-    bool spawn = first_fork_pending_ ||
-                 arrivals >= requiredArrivals(idx);
     ++total_insts_;
     ++insts_since_restart_;
     pc_ += 1;
-
-    if (!spawn)
+    if (passFork(inst))
         return MasterStep::Executed;
 
+    // This arrival spawns the next task.
+    ++fork_insts_;
+    uint32_t orig_pc = dist_.taskMap[idx];
     MSSP_ASSERT(fork_out != nullptr);
     fork_out->origPc = orig_pc;
-    fork_out->endVisitsForPrev = arrivals;
+    fork_out->endVisitsForPrev = siteArrivals(orig_pc) + 1;
     fork_out->checkpoint = snapshotCheckpoint();
     site_arrivals_.clear();
-    forks_seen_since_spawn_ = 0;
     first_fork_pending_ = false;
     return MasterStep::WantsFork;
 }

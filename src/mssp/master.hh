@@ -92,8 +92,9 @@ class MasterCore final : public ExecContext
         uint32_t endVisitsForPrev = 1;
         std::shared_ptr<const StateDelta> checkpoint;
     };
-    /** Inline: called once per master instruction on the machine's
-     *  per-cycle loop; the FORK case is out of line (stepFork). */
+    /** Inline: the machine steps spawning FORKs through here (runSlice
+     *  covers everything else); the FORK case is out of line
+     *  (stepFork). */
     MasterStep
     step(ForkInfo *fork_out)
     {
@@ -131,18 +132,19 @@ class MasterCore final : public ExecContext
 
     /**
      * Execute up to @p max_steps instructions on the selected
-     * execution tier, stopping *in front of* the first FORK (the
-     * machine must gate fork capacity before step() executes it).
-     * Counters update exactly as per-step execution would.
+     * execution tier, running through FORKs that do not spawn (with
+     * step()'s arrival bookkeeping) and stopping *in front of* the
+     * first FORK that would spawn a task or fault (the machine must
+     * gate fork capacity before step() executes it). Counters update
+     * exactly as per-step execution would.
      *
      * @return Halted/Faulted as step() would; Executed when stopped
-     *         at a FORK or by the budget. *executed gets the retired
-     *         instruction count.
+     *         in front of such a FORK or by the budget. *executed gets
+     *         the retired instruction count.
      */
-    MasterStep runSlice(unsigned max_steps, unsigned *executed);
+    MasterStep runSlice(uint64_t max_steps, uint64_t *executed);
 
-    /** @return true when the next instruction is a FORK (the one
-     *  case runSlice cannot make progress on). */
+    /** @return true when the next instruction is a FORK. */
     bool atFork() { return decode_.at(pc_).op == Opcode::Fork; }
 
     /** Select the execution tier. The master needs per-step hooks
@@ -162,6 +164,9 @@ class MasterCore final : public ExecContext
 
     /** Total instructions executed (all epochs). */
     uint64_t totalInsts() const { return total_insts_; }
+
+    /** FORK instructions executed, spawning or not (all epochs). */
+    uint64_t forkInsts() const { return fork_insts_; }
 
     /** Current write-delta size (checkpoint cost model + tests):
      *  buffered memory writes plus dirty registers. */
@@ -258,6 +263,11 @@ class MasterCore final : public ExecContext
     /** The FORK case of step() (arrival counting + spawn decision). */
     MasterStep stepFork(const Instruction &inst, ForkInfo *fork_out);
 
+    /** runSlice's FORK case: do a non-spawning FORK's arrival
+     *  bookkeeping and return true, or return false (leaving all
+     *  state untouched) when the FORK would spawn or fault. */
+    bool passFork(const Instruction &inst);
+
     /** Map an indirect jump into original code back into the
      *  distilled image. @retval false when there is no mapping. */
     bool translateJalr(StepResult &res);
@@ -306,34 +316,30 @@ class MasterCore final : public ExecContext
      *  cheaper than a node-based map (no allocation per fork). */
     std::vector<std::pair<uint32_t, uint32_t>> site_arrivals_;
 
-    /** Arrival count for @p orig_pc (0 when never seen). */
-    uint32_t
-    siteArrivals(uint32_t orig_pc) const
-    {
-        for (const auto &[pc, count] : site_arrivals_) {
-            if (pc == orig_pc)
-                return count;
-        }
-        return 0;
-    }
-
-    /** Record one arrival at @p orig_pc; returns the new count. */
-    uint32_t
-    bumpSiteArrivals(uint32_t orig_pc)
+    /** The arrival counter of @p orig_pc (null when never seen). */
+    uint32_t *
+    findSiteArrivals(uint32_t orig_pc)
     {
         for (auto &[pc, count] : site_arrivals_) {
             if (pc == orig_pc)
-                return ++count;
+                return &count;
         }
-        site_arrivals_.push_back({orig_pc, 1});
-        return 1;
+        return nullptr;
     }
-    /** Fork-site executions since the last spawn (interval policy). */
-    unsigned forks_seen_since_spawn_ = 0;
+
+    /** Arrival count for @p orig_pc (0 when never seen). */
+    uint32_t
+    siteArrivals(uint32_t orig_pc)
+    {
+        const uint32_t *count = findSiteArrivals(orig_pc);
+        return count ? *count : 0;
+    }
+
     unsigned fork_interval_ = 1;
 
     uint64_t insts_since_restart_ = 0;
     uint64_t total_insts_ = 0;
+    uint64_t fork_insts_ = 0;
     BackendKind backend_ = resolveHookedBackend(defaultBackend());
 
     friend class MsspMachine;

@@ -19,6 +19,7 @@
 #ifndef MSSP_MSSP_SLAVE_HH
 #define MSSP_MSSP_SLAVE_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 
@@ -28,6 +29,7 @@
 #include "exec/context.hh"
 #include "exec/decode_cache.hh"
 #include "exec/executor.hh"
+#include "mssp/budget.hh"
 #include "mssp/config.hh"
 #include "mssp/fork_sites.hh"
 #include "mssp/task.hh"
@@ -145,7 +147,16 @@ class TaskContext final : public ExecContext
     Cache *l1_;
 };
 
-/** One slave processor. */
+/**
+ * One slave processor.
+ *
+ * A slave keeps its own clock: the next cycle it has not simulated.
+ * advance() moves it forward by many cycles at once, exactly as that
+ * many single-cycle steps would, which is what lets the machine run
+ * in quanta (MsspMachine::run). Only the head task's slave ever runs
+ * ahead of the machine; every other slave's clock equals the
+ * machine's cycle between quanta.
+ */
 class SlaveCore
 {
   public:
@@ -160,8 +171,14 @@ class SlaveCore
     }
 
     bool idle() const { return task_ == nullptr; }
+    /** Free to take a task at machine cycle @p now: no task, and not
+     *  still simulating one it finished ahead of the machine. */
+    bool idleAt(Cycle now) const { return !task_ && clock_ <= now; }
     Task *task() { return task_; }
     int id() const { return id_; }
+    /** The next cycle this slave has not simulated (while pending():
+     *  the cycle whose fork-site decision is held). */
+    Cycle clock() const { return clock_; }
 
     /** Begin executing @p task (it must be freshly spawned). */
     void
@@ -179,39 +196,51 @@ class SlaveCore
     release()
     {
         task_ = nullptr;
+        pending_ = false;
     }
 
     /**
-     * Advance one cycle. Executes up to slaveIpc instructions,
-     * honoring arch-read stalls and fork-site pauses.
+     * Simulate cycles [clock(), @p until): exactly what that many
+     * single-cycle steps would do, charging idle, pause and stall
+     * cycles in bulk and running each stretch of execution as one
+     * engine slice (budgeted by slaveIpc, honoring arch-read stalls
+     * and fork-site pauses). A task that completes is released on the
+     * spot and stamped with Task::readyAt.
      *
-     * The idle case inlines into the machine's slave loop (most
-     * slaves are idle most cycles); the execute path is out of line.
+     * With @p hold (the head task's slave, which runs before the
+     * master) the call returns as soon as the task completes or has
+     * to wait for the master's end info, and a task that reaches a
+     * fork-site PC with its end still unknown stops there with the
+     * pause decision held: the master may reveal the end at an
+     * earlier cycle. The machine then either settles the hold as a
+     * pause (settlePause) or lets the next advance() finish the
+     * decision with the end info that has arrived.
      *
-     * @return instructions executed this cycle (for stats)
+     * @return instructions executed (for stats)
      */
-    unsigned
-    tick()
+    uint64_t
+    advance(Cycle until, bool hold = false)
     {
-        if (!task_) {
-            ++idle_cycles_;
-            return 0;
-        }
-        if (task_->done())
-            return 0;   // waiting for the commit unit
-        if (stall_ > 0) {
-            --stall_;
-            ++arch_stall_cycles_;
-            return 0;
-        }
-        if (task_->pausedAtForkSite && !task_->endKnown &&
-            !task_->runToHalt) {
-            // Still waiting for the master to reveal the end
-            // condition; same outcome as tickActive's pause path.
-            ++pause_cycles_;
-            return 0;
-        }
-        return tickActive();
+        if (task_)
+            return advanceTask(until, hold);
+        idleUntil(until);   // the common case, inline
+        return 0;
+    }
+
+    /** One cycle (unit tests). */
+    uint64_t tick() { return advance(clock_ + 1); }
+
+    /** A held fork-site decision: the task waits at a fork site and
+     *  the end info it needs may still arrive before that cycle. */
+    bool pending() const { return pending_; }
+
+    /** The master revealed nothing before the held cycle: the task
+     *  paused there, and that cycle is complete. */
+    void
+    settlePause()
+    {
+        pending_ = false;
+        ++clock_;
     }
 
     /** Fault-injection surface: freeze this core for @p n extra
@@ -238,9 +267,36 @@ class SlaveCore
     uint64_t idleCycles() const { return idle_cycles_; }
 
   private:
-    /** The non-idle part of tick() (inline: once per busy slave per
-     *  cycle, and the call sits on the machine's innermost loop). */
-    unsigned tickActive();
+    /** What one engine slice of the task did. */
+    struct Slice
+    {
+        uint64_t attempts = 0;   ///< budget charged (incl. aborted)
+        uint64_t retired = 0;
+        bool ended = false;      ///< stopped by an event, not budget
+    };
+
+    /** advance() with a task on the slave. */
+    uint64_t advanceTask(Cycle until, bool hold);
+
+    /** Charge the cycles up to @p until as idle. */
+    void
+    idleUntil(Cycle until)
+    {
+        if (clock_ < until) {
+            idle_cycles_ += until - clock_;
+            clock_ = until;
+        }
+    }
+
+    /** Run the task for at most @p max_attempts attempted steps. */
+    Slice runTask(Task &t, uint64_t max_attempts, bool hold);
+
+    /** Execute from the start of cycle clock_ through @p until, up to
+     *  the first event (stall, pause, end of task). */
+    uint64_t runActive(Cycle until, bool hold);
+
+    /** Finish a held cycle now that the end info has arrived. */
+    uint64_t resumeHeld();
 
     /** Re-check pause/end conditions when new end info arrives. */
     void refreshEndCondition();
@@ -253,22 +309,31 @@ class SlaveCore
      * with the pc pinned, then arch-read stalls, end-condition
      * arrivals, fork-site pauses and the runaway cap — the last three
      * on the *post-step* pc, and all of them after the instruction
-     * retires.
+     * retires. Every verdict that stops the slice marks it ended.
      */
     struct SlaveHook
     {
         SlaveCore &s;
         Task &t;
         TaskContext &ctx;
+        bool hold;
         /** Attempted steps (retired + MMIO-discarded); budget is
          *  charged per attempt, as the historical loop did. */
         uint64_t attempts = 0;
+        bool ended = false;
 
         bool
         preStep(uint32_t, const Instruction &)
         {
             ctx.beginStep();
             return true;
+        }
+
+        StepVerdict
+        stop(StepVerdict v)
+        {
+            ended = true;
+            return v;
         }
 
         StepVerdict
@@ -279,7 +344,7 @@ class SlaveCore
                 // Device access: the step was suppressed. The task
                 // ends *before* the access; the machine serializes it.
                 t.end = TaskEnd::MmioStop;
-                return StepVerdict::Discard;
+                return stop(StepVerdict::Discard);
             }
             ++t.instCount;
             if (res.status == StepStatus::Halted) {
@@ -290,7 +355,7 @@ class SlaveCore
             if (ctx.archReadsLastStep) {
                 s.stall_ += static_cast<Cycle>(ctx.archReadsLastStep) *
                             s.cfg_.archReadLatency;
-                v = StepVerdict::Stop;
+                v = stop(StepVerdict::Stop);
             }
             // Arrival checks: end condition and fork-site pauses.
             // These end the step outright; the runaway cap is only
@@ -300,17 +365,22 @@ class SlaveCore
                     ++t.visits;
                     if (t.visits >= t.endVisits) {
                         t.end = TaskEnd::ReachedEnd;
-                        return StepVerdict::Stop;
+                        return stop(StepVerdict::Stop);
                     }
                 }
             } else if (!t.runToHalt &&
                        s.fork_site_pcs_.contains(res.nextPc)) {
+                // Under hold, the rest of this decision (resumeHeld)
+                // waits until the machine knows whether the end info
+                // arrived before this cycle.
                 t.pausedAtForkSite = true;
-                return StepVerdict::Stop;
+                s.pending_ = hold;
+                s.held_stall_ = v == StepVerdict::Stop;
+                return stop(StepVerdict::Stop);
             }
             if (t.instCount >= s.cfg_.maxTaskInsts) {
                 t.end = TaskEnd::Overrun;
-                return StepVerdict::Stop;
+                return stop(StepVerdict::Stop);
             }
             return v;
         }
@@ -326,6 +396,11 @@ class SlaveCore
     std::unique_ptr<Cache> l1_;
     double budget_ = 0.0;
     Cycle stall_ = 0;
+    Cycle clock_ = 0;
+    bool pending_ = false;
+    /** The held step also read through to architected state, which
+     *  ends its slice whatever the decision (even at zero latency). */
+    bool held_stall_ = false;
 
     /** Execution tier for task slices. Slaves carry per-step
      *  obligations (the hook above), so blockjit resolves to
@@ -357,36 +432,113 @@ SlaveCore::refreshEndCondition()
     }
 }
 
-inline unsigned
-SlaveCore::tickActive()
+inline SlaveCore::Slice
+SlaveCore::runTask(Task &t, uint64_t max_attempts, bool hold)
 {
-    Task &t = *task_;
-    if (t.pausedAtForkSite) {
-        refreshEndCondition();
-        if (t.pausedAtForkSite || t.done()) {
-            if (t.pausedAtForkSite)
-                ++pause_cycles_;
-            return 0;
-        }
-    }
-
-    budget_ += cfg_.slaveIpc;
     TaskContext ctx(t, arch_, l1_.get());
-    SlaveHook hook{*this, t, ctx};
-
+    SlaveHook hook{*this, t, ctx, hold};
     // One engine slice, budgeted in *attempted* steps: MMIO-discarded
     // and faulting attempts consume budget without retiring, exactly
-    // as the historical per-step loop charged them.
-    EngineResult er =
-        runOnBackend(backend_, decode_, t.pc,
-                     static_cast<uint64_t>(budget_), ctx, nullptr, hook);
-    uint64_t attempts =
-        hook.attempts + (er.status == StepStatus::Illegal ? 1 : 0);
-    budget_ -= static_cast<double>(attempts);
+    // as the historical per-step loop charged them (and each of them
+    // ends the slice, so attempts never exceed the budget).
+    EngineResult er = runOnBackend(backend_, decode_, t.pc, max_attempts,
+                                   ctx, nullptr, hook);
     t.pc = er.pc;
-    if (er.status == StepStatus::Illegal)
+    bool faulted = er.status == StepStatus::Illegal;
+    if (faulted)
         t.end = TaskEnd::Faulted;
-    return static_cast<unsigned>(er.retired);
+    return {hook.attempts + (faulted ? 1 : 0), er.retired,
+            hook.ended || er.status != StepStatus::Ok};
+}
+
+inline uint64_t
+SlaveCore::runActive(Cycle until, bool hold)
+{
+    double after_all = budget_;
+    uint64_t offered =
+        drainCycles(after_all, cfg_.slaveIpc, until - clock_);
+    Slice s = runTask(*task_, offered, hold);
+    if (!s.ended) {
+        budget_ = after_all;
+        clock_ = until;
+    } else {
+        Cycle cycles = cyclesToAttempt(budget_, cfg_.slaveIpc,
+                                       s.attempts);
+        // A held decision leaves its cycle open.
+        clock_ += pending_ ? cycles - 1 : cycles;
+    }
+    return s.retired;
+}
+
+inline uint64_t
+SlaveCore::resumeHeld()
+{
+    Task &t = *task_;
+    pending_ = false;
+    t.pausedAtForkSite = false;
+    // The rest of SlaveHook::postStep's decision, with the end info
+    // that arrived before this cycle.
+    if (t.endKnown && t.pc == t.endPc && ++t.visits >= t.endVisits)
+        t.end = TaskEnd::ReachedEnd;
+    else if (t.instCount >= cfg_.maxTaskInsts)
+        t.end = TaskEnd::Overrun;
+    uint64_t retired = 0;
+    if (!t.done() && !held_stall_) {
+        // The step did not stop the slice: spend the rest of the
+        // cycle's budget.
+        Slice s = runTask(t, static_cast<uint64_t>(budget_), false);
+        budget_ -= static_cast<double>(s.attempts);
+        retired = s.retired;
+    }
+    ++clock_;
+    return retired;
+}
+
+inline uint64_t
+SlaveCore::advanceTask(Cycle until, bool hold)
+{
+    uint64_t retired = 0;
+    while (task_ && clock_ < until) {
+        Task &t = *task_;
+        if (pending_) {
+            if (!t.endKnown && !t.runToHalt)
+                return retired;   // the master has not decided yet
+            retired += resumeHeld();
+        } else if (stall_ > 0) {
+            Cycle n = std::min<Cycle>(stall_, until - clock_);
+            stall_ -= n;
+            arch_stall_cycles_ += n;
+            clock_ += n;
+            continue;
+        } else if (t.pausedAtForkSite && !t.endKnown && !t.runToHalt) {
+            // Still waiting for the master to reveal the end
+            // condition. Without hold it cannot change inside this
+            // call; under hold the master has not run yet.
+            if (hold)
+                return retired;
+            pause_cycles_ += until - clock_;
+            clock_ = until;
+            return retired;
+        } else {
+            refreshEndCondition();
+            if (t.done())
+                ++clock_;   // reached its end on arrival of the info
+            else
+                retired += runActive(until, hold);
+        }
+        if (t.done()) {
+            // Free the slave as soon as its task is complete: the
+            // task's live-in/live-out data now lives with the
+            // verify/commit unit (the window), exactly as in the paper.
+            t.readyAt = clock_;
+            task_ = nullptr;
+            if (hold)
+                return retired;
+        }
+    }
+    if (!task_)
+        idleUntil(until);
+    return retired;
 }
 
 } // namespace mssp

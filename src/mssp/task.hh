@@ -87,6 +87,10 @@ struct Task
     /** Number of reads that went through to architected state. */
     uint64_t archReads = 0;
 
+    /** First cycle the verify/commit unit sees the task done (the
+     *  cycle after it completed on its slave). */
+    uint64_t readyAt = 0;
+
     // -- Register fast path (pure optimization) -------------------------
     /** When bit r of regValid is set, regCache[r] holds the value the
      *  task currently observes for register r (its live-out if it has
@@ -127,6 +131,7 @@ struct Task
         pausedAtForkSite = false;
         slaveId = -1;
         archReads = 0;
+        readyAt = 0;
         regValid = 0;   // regCache is guarded by regValid bits
     }
 };

@@ -293,5 +293,134 @@ TEST_F(SlaveFixture, IdleSlaveCountsIdleCycles)
     EXPECT_EQ(slave.idleCycles(), 2u);
 }
 
+/** A slave's task state and cycle accounting, for comparisons. */
+struct SlaveView
+{
+    uint64_t instCount;
+    uint32_t pc;
+    TaskEnd end;
+    uint64_t readyAt;
+    uint64_t stall, pause, idle;
+    Cycle clock;
+
+    bool operator==(const SlaveView &) const = default;
+};
+
+SlaveView
+view(SlaveCore &s, const Task &t)
+{
+    return {t.instCount, t.pc, t.end, t.readyAt, s.archStallCycles(),
+            s.pauseCycles(), s.idleCycles(), s.clock()};
+}
+
+TEST_F(SlaveFixture, AdvanceMatchesTicks)
+{
+    // advance(n) charges stalls, pauses and idle cycles in bulk and
+    // runs execution as multi-cycle slices; it must land exactly where
+    // n single-cycle ticks do, at every issue rate.
+    loadSource(
+        "    li t0, 0\n"
+        "    la t1, data\n"
+        "loop:\n"
+        "    add t2, t1, t0\n"
+        "    lw t3, 0(t2)\n"
+        "    addi t0, t0, 1\n"
+        "    li t4, 40\n"
+        "    blt t0, t4, loop\n"
+        "    halt\n"
+        ".org 0x4000\n"
+        "data: .word 1,2,3,4,5,6,7,8,9,10\n");
+    for (double ipc : {1.0, 0.5, 0.7, 2.0, 2.5}) {
+        SCOPED_TRACE(ipc);
+        MsspConfig c = cfg;
+        c.slaveIpc = ipc;
+        c.archReadLatency = 3;
+        Task a = makeTask(prog.entry());
+        Task b = makeTask(prog.entry());
+        a.runToHalt = b.runToHalt = true;
+        SlaveCore stepped = makeSlave(arch, c);
+        SlaveCore bulk = makeSlave(arch, c);
+        stepped.assign(&a);
+        bulk.assign(&b);
+        uint64_t insts_a = 0, insts_b = 0;
+        Cycle cycle = 0;
+        for (Cycle chunk : {1, 7, 3, 50, 2, 400, 1000}) {
+            for (Cycle i = 0; i < chunk; ++i)
+                insts_a += stepped.tick();
+            cycle += chunk;
+            insts_b += bulk.advance(cycle);
+            EXPECT_EQ(view(stepped, a), view(bulk, b));
+            EXPECT_EQ(insts_a, insts_b);
+        }
+        EXPECT_EQ(b.end, TaskEnd::Halted);
+        EXPECT_TRUE(bulk.idle());
+    }
+}
+
+TEST_F(SlaveFixture, HeldForkSiteDecisionUsesLateEndInfo)
+{
+    // A held slave (the head task's, which runs before the master)
+    // stops at a fork site whose end is unknown. If the end info
+    // turns out to have arrived before that cycle, resuming must
+    // replay exactly what a slave that knew it all along did —
+    // including the rest of that cycle's issue budget.
+    loadSource(
+        "    li t0, 1\n"
+        "    li t0, 2\n"
+        "    li t0, 3\n"
+        "    li t0, 4\n"
+        "site:\n"
+        "    li t1, 1\n"
+        "    li t1, 2\n"
+        "    j site\n");
+    uint32_t site = 0;
+    ASSERT_TRUE(prog.lookupSymbol("site", site));
+    fork_sites.push_back(site);
+    MsspConfig c = cfg;
+    c.slaveIpc = 3.0;   // the site is reached with budget left
+    // (No instruction reads a register or memory, so nothing stalls.)
+
+    Task known = makeTask(prog.entry());
+    known.endKnown = true;
+    known.endPc = site;
+    known.endVisits = 3;
+    SlaveCore stepped = makeSlave(arch, c);
+    stepped.assign(&known);
+
+    Task late = makeTask(prog.entry());
+    SlaveCore held = makeSlave(arch, c);
+    held.assign(&late);
+    held.advance(100, /*hold=*/true);
+    ASSERT_TRUE(held.pending());
+    EXPECT_EQ(held.clock(), 1u);   // the site is reached in cycle 1
+    EXPECT_EQ(late.instCount, 4u);
+
+    // The held slave is mid-way through cycle 1; compare from the end
+    // of that cycle on.
+    late.endKnown = true;
+    late.endPc = site;
+    late.endVisits = 3;
+    for (Cycle cycle = 2; cycle <= 8; ++cycle) {
+        for (Cycle i = stepped.clock(); i < cycle; ++i)
+            stepped.tick();
+        held.advance(cycle);
+        EXPECT_EQ(view(stepped, known), view(held, late))
+            << "after cycle " << cycle - 1;
+    }
+    EXPECT_EQ(late.end, TaskEnd::ReachedEnd);
+
+    // Settled as a pause instead, the held cycle simply ends paused.
+    Task paused = makeTask(prog.entry());
+    SlaveCore held2 = makeSlave(arch, c);
+    held2.assign(&paused);
+    held2.advance(100, /*hold=*/true);
+    ASSERT_TRUE(held2.pending());
+    held2.settlePause();
+    held2.advance(10);
+    EXPECT_TRUE(paused.pausedAtForkSite);
+    EXPECT_EQ(paused.instCount, 4u);
+    EXPECT_EQ(held2.pauseCycles(), 8u);
+}
+
 } // anonymous namespace
 } // namespace mssp

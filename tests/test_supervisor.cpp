@@ -126,28 +126,59 @@ TEST(Supervision, MsspMachineBudgetTripsAndResumes)
     SeqMachine oracle(w.orig);
     ASSERT_TRUE(oracle.run(100000000ull).halted);
 
-    MsspMachine machine(w.orig, w.dist, MsspConfig{});
-    JobBudget budget;
-    budget.maxInsts = 2000;
-    Supervision sup(budget);
+    // What a trip-and-resume leaves observable, per schedule.
+    struct Trip
     {
-        SupervisionScope scope(&sup);
-        try {
-            machine.run(200000000ull);
-            FAIL() << "inst cap never tripped";
-        } catch (const StatusError &e) {
-            EXPECT_EQ(e.status().code(),
-                      StatusCode::InstLimitExceeded);
+        Cycle at = 0;
+        uint64_t executed = 0;
+        MsspResult resumed;
+        MsspCounters counters;
+    };
+    auto tripAndResume = [&](bool stepped) {
+        Trip trip;
+        MsspMachine machine(w.orig, w.dist, MsspConfig{});
+        machine.setCycleStepped(stepped);
+        JobBudget budget;
+        budget.maxInsts = 2000;
+        Supervision sup(budget);
+        {
+            SupervisionScope scope(&sup);
+            try {
+                machine.run(200000000ull);
+                ADD_FAILURE() << "inst cap never tripped";
+            } catch (const StatusError &e) {
+                EXPECT_EQ(e.status().code(),
+                          StatusCode::InstLimitExceeded);
+            }
         }
-    }
-    EXPECT_GT(sup.executed(), 2000u - 1);
+        EXPECT_GT(sup.executed(), 2000u - 1);
+        trip.at = machine.now();
+        trip.executed = sup.executed();
 
-    // Trips land between machine cycles: the run resumes and still
-    // produces SEQ-equivalent results.
-    MsspResult r = machine.run(200000000ull);
-    EXPECT_TRUE(r.halted);
-    EXPECT_EQ(machine.outputs(), oracle.outputs());
-    EXPECT_EQ(machine.arch().instret(), oracle.instCount());
+        // Trips land between machine cycles: the run resumes and
+        // still produces SEQ-equivalent results.
+        trip.resumed = machine.run(200000000ull);
+        EXPECT_TRUE(trip.resumed.halted);
+        EXPECT_EQ(machine.outputs(), oracle.outputs());
+        EXPECT_EQ(machine.arch().instret(), oracle.instCount());
+        trip.counters = machine.counters();
+        return trip;
+    };
+
+    // The supervision poll is a horizon of the quantum scheduler, so
+    // the trip lands on the same cycle with the same work charged as
+    // under the cycle-stepped reference, and the resumed runs agree.
+    Trip ref = tripAndResume(true);
+    Trip got = tripAndResume(false);
+    EXPECT_EQ(ref.at, got.at);
+    EXPECT_EQ(ref.at % 1024, 0u);
+    EXPECT_EQ(ref.executed, got.executed);
+    EXPECT_EQ(ref.resumed.stopReason, got.resumed.stopReason);
+    EXPECT_EQ(ref.resumed.cycles, got.resumed.cycles);
+    EXPECT_EQ(ref.resumed.committedInsts, got.resumed.committedInsts);
+    EXPECT_EQ(ref.resumed.outputs, got.resumed.outputs);
+    EXPECT_TRUE(ref.resumed.siteStats == got.resumed.siteStats);
+    EXPECT_TRUE(ref.counters == got.counters);
 }
 
 TEST(Supervision, RetryDelayIsDeterministicAndBounded)

@@ -11,7 +11,8 @@
 # Every optional gate has a skip knob (set to 1 to skip):
 #
 #   MSSP_SKIP_TIDY        clang-tidy tree-wide pass
-#   MSSP_SKIP_BACKENDS    backend tier smoke + differential fuzz
+#   MSSP_SKIP_BACKENDS    backend tier smoke + differential fuzz +
+#                         scheduler lockstep gate
 #   MSSP_SKIP_LOADFACTS   load-fact sweeps, --specsafe and --plan
 #                         (sharded vs serial)
 #   MSSP_SKIP_FAULTS      fault-injection campaign smoke
@@ -128,7 +129,10 @@ else
         fi
     done
     build/tests/test_backend_fuzz
-    echo "backend tiers agree (smoke + fuzz gate)"
+    # The quantum scheduler must match the cycle-stepped reference
+    # schedule exactly (DESIGN.md §8).
+    build/tests/test_scheduler_fuzz
+    echo "backend tiers agree (smoke + fuzz gate); schedules agree"
 fi
 
 if [[ "${MSSP_SKIP_LOADFACTS:-0}" == "1" ]]; then
