@@ -44,7 +44,7 @@ SuiteReport::ok() const
 std::string
 SuiteReport::toJson() const
 {
-    std::string out = "{\"schema\": \"mssp-suite-v6\",\n";
+    std::string out = "{\"schema\": \"mssp-suite-v7\",\n";
     out += strfmt(" \"seed\": %llu, \"scale\": %s, ",
                   static_cast<unsigned long long>(options.seed),
                   fmtG(options.scale).c_str());

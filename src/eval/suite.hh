@@ -32,7 +32,7 @@
  * the same seam for the CI chaos job.
  *
  * The report is one deterministic JSON document (schema
- * mssp-suite-v6): per-run seeds derive from canonical job indices
+ * mssp-suite-v7): per-run seeds derive from canonical job indices
  * and results merge in canonical order, so `--jobs N` output is
  * byte-identical to `--jobs 1` (wall-clock deadline trips excepted —
  * see JobBudget). CI runs the suite on every push with all 12
@@ -146,8 +146,8 @@ struct SuiteReport
      *  type fired, and nothing was quarantined. */
     bool ok() const;
 
-    /** Deterministic JSON document (schema mssp-suite-v6; embeds the
-     *  campaign's mssp-faultcamp-v2 object under "campaign"). */
+    /** Deterministic JSON document (schema mssp-suite-v7; embeds the
+     *  campaign's mssp-faultcamp-v3 object under "campaign"). */
     std::string toJson() const;
 
     /** Human-readable result tables. */

@@ -191,7 +191,7 @@ CampaignReport::allTypesFired() const
 std::string
 CampaignReport::toJson() const
 {
-    std::string out = "{\"schema\": \"mssp-faultcamp-v2\",\n";
+    std::string out = "{\"schema\": \"mssp-faultcamp-v3\",\n";
     out += strfmt(" \"seed\": %llu, \"scale\": %s,\n",
                   static_cast<unsigned long long>(options.seed),
                   fmtRate(options.scale).c_str());

@@ -135,8 +135,8 @@ struct CampaignReport
      *  (the "counters prove it" acceptance criterion). */
     bool allTypesFired() const;
 
-    /** Deterministic JSON document (schema mssp-faultcamp-v2; v1
-     *  plus the quarantine block and supervision/chaos options). */
+    /** Deterministic JSON document (schema mssp-faultcamp-v3: v2's
+     *  fields; per-cycle cells draw from per-(type, core) streams). */
     std::string toJson() const;
 
     /** Human-readable result table. */

@@ -68,7 +68,7 @@ FaultCounters::total() const
 }
 
 FaultInjector::FaultInjector(uint64_t seed, std::vector<FaultPlan> plans)
-    : rng_(seed)
+    : seed_(seed), rng_(seed)
 {
     for (const FaultPlan &p : plans) {
         if (p.type == FaultType::None)
@@ -121,24 +121,65 @@ FaultInjector::corruptCheckpoint(const StateDelta &ckpt)
     return bad;
 }
 
-Cycle
-FaultInjector::onSlaveTick(int slave_id, bool *kill_task)
+FaultInjector::Stream &
+FaultInjector::stream(FaultType t, unsigned core)
 {
-    *kill_task = false;
-    const FaultPlan &kill = plans_[static_cast<size_t>(
-        FaultType::SlaveKill)];
-    if ((kill.target < 0 || kill.target == slave_id) &&
-        fire(FaultType::SlaveKill)) {
-        *kill_task = true;
-        return 0;
+    std::vector<Stream> &streams = streams_[static_cast<size_t>(t)];
+    while (streams.size() <= core) {
+        uint64_t id = static_cast<uint64_t>(t) << 32 | streams.size();
+        streams.push_back({Rng(Rng::mix(seed_, id))});
+        drawAhead(streams.back(), plan(t).rate);
     }
-    const FaultPlan &stall = plans_[static_cast<size_t>(
-        FaultType::SlaveStall)];
-    if ((stall.target < 0 || stall.target == slave_id) &&
-        fire(FaultType::SlaveStall)) {
-        return stall.stallCycles;
+    return streams[core];
+}
+
+void
+FaultInjector::drawAhead(Stream &s, double rate)
+{
+    // One Rng::chance per opportunity, exactly the draw fire() makes,
+    // so every rate keeps its Bernoulli meaning. A block of 64K
+    // opportunities without a fire ends the look-ahead: the stream
+    // draws the next block when the machine has charged this one.
+    constexpr uint64_t Block = 1u << 16;
+    for (uint64_t i = 0; i < Block; ++i) {
+        if (s.rng.chance(rate)) {
+            s.left += i;
+            s.fires = true;
+            return;
+        }
     }
-    return 0;
+    s.left += Block;
+    s.fires = false;
+}
+
+bool
+FaultInjector::fireDue(FaultType t, unsigned core)
+{
+    if (!armed(t) || !targets(t, core))
+        return false;
+    Stream &s = stream(t, core);
+    if (s.left != 0)
+        return false;
+    ++counters_.injected[static_cast<size_t>(t)];
+    // This opportunity is charged with the rest of its quantum.
+    s.left = 1;
+    drawAhead(s, plan(t).rate);
+    return true;
+}
+
+void
+FaultInjector::charge(FaultType t, unsigned core, uint64_t n)
+{
+    if (!armed(t) || !targets(t, core))
+        return;   // the stream never fires again
+    Stream &s = stream(t, core);
+    while (n > s.left || (n == s.left && !s.fires)) {
+        MSSP_ASSERT(!s.fires);   // the opportunities passed a fire
+        n -= s.left;
+        s.left = 0;
+        drawAhead(s, plan(t).rate);
+    }
+    s.left -= n;
 }
 
 void

@@ -266,6 +266,17 @@ class SlaveCore
     /** Cycles spent idle with no task (stats). */
     uint64_t idleCycles() const { return idle_cycles_; }
 
+    /** Busy cycles (held a task at their start) since the last call:
+     *  the slave's per-cycle fault opportunities. */
+    uint64_t
+    takeBusyCycles()
+    {
+        uint64_t busy = clock_ - idle_cycles_;
+        uint64_t n = busy - busy_taken_;
+        busy_taken_ = busy;
+        return n;
+    }
+
   private:
     /** What one engine slice of the task did. */
     struct Slice
@@ -410,6 +421,7 @@ class SlaveCore
     uint64_t arch_stall_cycles_ = 0;
     uint64_t pause_cycles_ = 0;
     uint64_t idle_cycles_ = 0;
+    uint64_t busy_taken_ = 0;   ///< busy cycles takeBusyCycles() saw
 };
 
 inline void

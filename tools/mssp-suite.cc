@@ -21,7 +21,7 @@
  * Exit status (docs/LINT.md): 0 when every workload passed every
  * evaluation gate AND the campaign held every invariant with every
  * fault type firing; 5 when the only blemish is quarantined jobs;
- * 1 otherwise. The JSON report (schema mssp-suite-v6) is
+ * 1 otherwise. The JSON report (schema mssp-suite-v7) is
  * byte-deterministic for fixed options regardless of --jobs: CI runs
  * the suite sharded, reruns it with --jobs 1, and diffs the bytes
  * (wall-clock-deadline quarantines excepted — they are host-timing
