@@ -8,17 +8,23 @@ namespace mssp
 void
 StateDelta::rehash(size_t new_cap)
 {
+    // Re-insert in log order, so iteration order survives a rehash.
     std::vector<value_type> old = std::move(slots_);
+    std::vector<uint32_t> old_used = std::move(used_);
     slots_.assign(new_cap, {EmptyKey, 0});
+    used_.clear();
+    used_.reserve(size_);
     tombstones_ = 0;
     size_t mask = new_cap - 1;
-    for (const auto &[cell, value] : old) {
-        if (cell == EmptyKey || cell == TombKey)
+    for (uint32_t u : old_used) {
+        const auto &[cell, value] = old[u];
+        if (cell == TombKey)
             continue;
         size_t i = hashCell(cell) & mask;
         while (slots_[i].first != EmptyKey)
             i = (i + 1) & mask;
         slots_[i] = {cell, value};
+        used_.push_back(static_cast<uint32_t>(i));
     }
 }
 
@@ -30,6 +36,7 @@ StateDelta::growAndInsert(CellId cell, uint32_t value)
     // fresh table has no tombstones and cannot need another grow.
     Cursor c = lookup(cell);
     slots_[c.index] = {cell, value};
+    used_.push_back(static_cast<uint32_t>(c.index));
     ++size_;
 }
 

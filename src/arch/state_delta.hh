@@ -20,6 +20,14 @@
  * probing, tombstone deletion): one contiguous allocation, no
  * per-node indirection, and a find-then-insert cursor that lets
  * live-in capture probe once instead of twice.
+ *
+ * A used-slot log (every slot that is not empty, in the order it was
+ * first filled) makes clear(), iteration and everything built on it
+ * (superimposition, consistency, ArchState's apply/matches) cost
+ * O(bindings + tombstones) rather than O(capacity): a recycled task's
+ * 128-slot tables hold a handful of bindings. Iteration therefore
+ * runs in first-fill order, not cell order; anything that prints or
+ * draws by position uses sorted().
  */
 
 #ifndef MSSP_ARCH_STATE_DELTA_HH
@@ -102,7 +110,9 @@ class StateDelta
             return;
         }
         if (slots_[c.index].first == TombKey)
-            --tombstones_;
+            --tombstones_;   // a reused tombstone is already logged
+        else
+            used_.push_back(static_cast<uint32_t>(c.index));
         slots_[c.index] = {cell, value};
         ++size_;
     }
@@ -139,7 +149,8 @@ class StateDelta
 
     bool contains(CellId cell) const { return lookup(cell).found; }
 
-    /** Remove a binding if present. */
+    /** Remove a binding if present (its slot stays in the used-slot
+     *  log as a tombstone until the next clear or rehash). */
     void
     erase(CellId cell)
     {
@@ -154,12 +165,14 @@ class StateDelta
     size_t size() const { return size_; }
     bool empty() const { return size_ == 0; }
 
-    /** Drop all bindings (capacity is kept for reuse). */
+    /** Drop all bindings (capacity is kept for reuse). Visits only
+     *  the logged slots. */
     void
     clear()
     {
-        for (auto &slot : slots_)
-            slot.first = EmptyKey;
+        for (uint32_t i : used_)
+            slots_[i].first = EmptyKey;
+        used_.clear();
         size_ = 0;
         tombstones_ = 0;
     }
@@ -173,7 +186,8 @@ class StateDelta
             rehash(needed);
     }
 
-    /** Forward iterator over live (cell, value) bindings. */
+    /** Forward iterator over live (cell, value) bindings, in
+     *  used-slot-log order (tombstones skipped). */
     class const_iterator
     {
       public:
@@ -185,19 +199,20 @@ class StateDelta
 
         const_iterator() = default;
 
-        const_iterator(const value_type *p, const value_type *end)
-            : p_(p), end_(end)
+        const_iterator(const value_type *slots, const uint32_t *u,
+                       const uint32_t *end)
+            : slots_(slots), u_(u), end_(end)
         {
             skipDead();
         }
 
-        const value_type &operator*() const { return *p_; }
-        const value_type *operator->() const { return p_; }
+        const value_type &operator*() const { return slots_[*u_]; }
+        const value_type *operator->() const { return &slots_[*u_]; }
 
         const_iterator &
         operator++()
         {
-            ++p_;
+            ++u_;
             skipDead();
             return *this;
         }
@@ -213,33 +228,33 @@ class StateDelta
         bool
         operator==(const const_iterator &o) const
         {
-            return p_ == o.p_;
+            return u_ == o.u_;
         }
 
       private:
         void
         skipDead()
         {
-            while (p_ != end_ &&
-                   (p_->first == EmptyKey || p_->first == TombKey))
-                ++p_;
+            while (u_ != end_ && slots_[*u_].first == TombKey)
+                ++u_;
         }
 
-        const value_type *p_ = nullptr;
-        const value_type *end_ = nullptr;
+        const value_type *slots_ = nullptr;
+        const uint32_t *u_ = nullptr;
+        const uint32_t *end_ = nullptr;
     };
 
     const_iterator
     begin() const
     {
-        const value_type *data = slots_.data();
-        return {data, data + slots_.size()};
+        const uint32_t *u = used_.data();
+        return {slots_.data(), u, u + used_.size()};
     }
     const_iterator
     end() const
     {
-        const value_type *data = slots_.data();
-        return {data + slots_.size(), data + slots_.size()};
+        const uint32_t *end = used_.data() + used_.size();
+        return {slots_.data(), end, end};
     }
 
     /**
@@ -327,6 +342,9 @@ class StateDelta
     void growAndInsert(CellId cell, uint32_t value);
 
     std::vector<value_type> slots_;   ///< pow-2 sized; EmptyKey = free
+    /** Index of every non-empty slot (live or tombstone), each once,
+     *  in first-fill order. */
+    std::vector<uint32_t> used_;
     size_t size_ = 0;        ///< live bindings
     size_t tombstones_ = 0;  ///< deleted slots awaiting rehash
 };

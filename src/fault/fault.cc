@@ -77,8 +77,8 @@ FaultInjector::FaultInjector(uint64_t seed, std::vector<FaultPlan> plans)
     }
 }
 
-std::shared_ptr<const StateDelta>
-FaultInjector::corruptCheckpoint(const StateDelta &ckpt)
+bool
+FaultInjector::corruptCheckpoint(Checkpoint &ckpt)
 {
     // Draw both checkpoint fault classes up front; bail cheaply when
     // neither fires. LiveInFlip needs an existing binding to flip, so
@@ -87,27 +87,27 @@ FaultInjector::corruptCheckpoint(const StateDelta &ckpt)
     bool corrupt = fire(FaultType::CheckpointCorrupt);
     bool flip = !ckpt.empty() && fire(FaultType::LiveInFlip);
     if (!corrupt && !flip)
-        return nullptr;
+        return false;
 
-    auto bad = std::make_shared<StateDelta>(ckpt);
+    StateDelta bad = ckpt.flatten();
     if (corrupt) {
         // 50/50: insert a bogus prediction, or drop a real one. A
         // dropped cell degrades to an architected read-through (the
         // prediction is *missing*, not wrong); an inserted cell is a
         // wrong prediction the verify unit must catch if consumed.
-        if (bad->empty() || (rng_.next() & 1)) {
+        if (bad.empty() || (rng_.next() & 1)) {
             CellId cell = (rng_.next() & 1)
                 ? makeRegCell(1 + static_cast<unsigned>(
                       rng_.below(NumRegs - 1)))
                 : makeMemCell(word() & ~0x3u);
-            bad->set(cell, word());
+            bad.set(cell, word());
         } else {
-            std::vector<StateDelta::value_type> cells = bad->sorted();
-            bad->erase(cells[rng_.below(cells.size())].first);
+            std::vector<StateDelta::value_type> cells = bad.sorted();
+            bad.erase(cells[rng_.below(cells.size())].first);
         }
     }
     if (flip) {
-        std::vector<StateDelta::value_type> cells = bad->sorted();
+        std::vector<StateDelta::value_type> cells = bad.sorted();
         if (cells.empty()) {
             // CheckpointCorrupt just dropped the last cell: nothing
             // left to flip; un-count the granted flip.
@@ -115,10 +115,11 @@ FaultInjector::corruptCheckpoint(const StateDelta &ckpt)
                 FaultType::LiveInFlip)];
         } else {
             const auto &[cell, value] = cells[rng_.below(cells.size())];
-            bad->set(cell, value ^ bit32());
+            bad.set(cell, value ^ bit32());
         }
     }
-    return bad;
+    ckpt = Checkpoint(std::move(bad));
+    return true;
 }
 
 FaultInjector::Stream &

@@ -44,11 +44,11 @@
 
 #include <array>
 #include <cstdint>
-#include <memory>
 #include <ostream>
 #include <string>
 #include <vector>
 
+#include "arch/checkpoint.hh"
 #include "arch/state_delta.hh"
 #include "sim/event_queue.hh"
 #include "sim/rng.hh"
@@ -191,12 +191,13 @@ class FaultInjector
 
     /**
      * Checkpoint faults (CheckpointCorrupt + LiveInFlip) for a task
-     * being forked with checkpoint @p ckpt.
+     * being forked with checkpoint @p ckpt. When one fires, @p ckpt is
+     * replaced by a corrupted flat copy; the flat state is only built
+     * then, never on a fork where nothing fires.
      *
-     * @return a corrupted replacement, or nullptr when untouched.
+     * @retval true when @p ckpt was corrupted.
      */
-    std::shared_ptr<const StateDelta>
-    corruptCheckpoint(const StateDelta &ckpt);
+    bool corruptCheckpoint(Checkpoint &ckpt);
 
     // -- Spawn-delivery hook ----------------------------------------------
 

@@ -745,7 +745,7 @@ MsspMachine::spendMasterBudget()
         }
         master_budget_ -= 1.0;
 
-        MasterCore::ForkInfo fi;
+        MasterCore::ForkInfo &fi = fork_info_;
         MasterStep st = master_.step(&fi);
         if (st != MasterStep::Faulted)
             ++ctrs_.masterInsts;
@@ -761,14 +761,13 @@ MsspMachine::spendMasterBudget()
             std::unique_ptr<Task> task = allocTask();
             task->id = next_task_id_++;
             task->startPc = fi.origPc;
-            task->checkpoint = fi.checkpoint;
-            if (injector_) {
-                if (auto bad = injector_->corruptCheckpoint(
-                        *fi.checkpoint))
-                    task->checkpoint = std::move(bad);
-            }
+            // Swap, not copy: the recycled task's cleared checkpoint
+            // hands its diff storage to the next snapshot.
+            std::swap(task->checkpoint, fi.checkpoint);
+            if (injector_)
+                injector_->corruptCheckpoint(task->checkpoint);
             checkpoint_dist_.sample(
-                static_cast<double>(task->checkpoint->size()));
+                static_cast<double>(task->checkpoint.size()));
             Task *raw = task.get();
             window_.push_back(std::move(task));
             ++ctrs_.tasksForked;

@@ -353,6 +353,10 @@ class MsspMachine
     ArchState arch_;
     MmioDevice device_;
     MasterCore master_;
+    /** The master's fork output, reused across spawns: each spawn
+     *  swaps its checkpoint with the new task's cleared one, so the
+     *  diff storage circulates instead of being reallocated. */
+    MasterCore::ForkInfo fork_info_;
     /** Predecode cache of the original image, shared by all slaves
      *  and the sequential fallback (code is immutable). */
     DecodeCache orig_decode_{orig_};

@@ -68,6 +68,8 @@ MasterCore::restart(uint32_t orig_pc)
     for (unsigned r = 0; r < NumRegs; ++r)
         regs_[r] = arch_.readReg(r);
     delta_.clear();
+    since_base_.clear();
+    base_.reset();
     dirty_regs_ = 0;
     site_arrivals_.clear();
     insts_since_restart_ = 0;
@@ -129,7 +131,7 @@ MasterCore::stepFork(const Instruction &inst, ForkInfo *fork_out)
     MSSP_ASSERT(fork_out != nullptr);
     fork_out->origPc = orig_pc;
     fork_out->endVisitsForPrev = siteArrivals(orig_pc) + 1;
-    fork_out->checkpoint = snapshotCheckpoint();
+    snapshotCheckpoint(fork_out->checkpoint);
     site_arrivals_.clear();
     first_fork_pending_ = false;
     return MasterStep::WantsFork;
@@ -149,17 +151,34 @@ MasterCore::translateJalr(StepResult &res)
     return true;
 }
 
-std::shared_ptr<const StateDelta>
-MasterCore::snapshotCheckpoint() const
+namespace
 {
-    auto ckpt = std::make_shared<StateDelta>(delta_);
-    uint32_t dirty = dirty_regs_;
-    while (dirty) {
-        unsigned r = static_cast<unsigned>(__builtin_ctz(dirty));
-        dirty &= dirty - 1;
-        ckpt->set(makeRegCell(r), regs_[r]);
+
+// Re-base once the cells written since the base exceed 1/RebaseShare
+// of the delta (and RebaseMinCells, so a small delta is never copied
+// whole at every spawn). Each spawn then copies at most about
+// delta/RebaseShare cells plus the dirty registers, and a re-base
+// copies the whole delta once every many spawns.
+constexpr size_t RebaseShare = 16;
+constexpr size_t RebaseMinCells = 32;
+
+} // anonymous namespace
+
+void
+MasterCore::snapshotCheckpoint(Checkpoint &out)
+{
+    if (since_base_.size() > RebaseMinCells &&
+        since_base_.size() * RebaseShare > delta_.size()) {
+        base_ = std::make_shared<const StateDelta>(delta_);
+        since_base_.clear();
+        cells_copied_ += delta_.size();
     }
-    return ckpt;
+    StateDelta &diff =
+        out.rebuild(base_, regs_, dirty_regs_, deltaSize());
+    for (const auto &[cell, value] : since_base_)
+        diff.set(cell, value);
+    cells_copied_ += since_base_.size() +
+        static_cast<size_t>(__builtin_popcount(dirty_regs_));
 }
 
 void
@@ -181,8 +200,13 @@ MasterCore::sweepDeltaAgainstArch(size_t max_cells)
         if (arch_.readCell(cell) == value)
             drop.push_back(cell);
     }
+    if (drop.empty())
+        return;
     for (CellId cell : drop)
         delta_.erase(cell);
+    // The base still holds the dropped cells: start over without one.
+    base_.reset();
+    since_base_ = delta_;
 }
 
 } // namespace mssp

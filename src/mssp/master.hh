@@ -6,7 +6,11 @@
  * speculative register file and write buffer, reading through to
  * architected state for anything it has not written. Its only products
  * are predictions: at each taken FORK it snapshots its write-delta as
- * the checkpoint (predicted live-ins) of a new task.
+ * the checkpoint (predicted live-ins) of a new task. A snapshot shares
+ * an immutable copy of the delta (the base) with every task forked
+ * since the last re-base and copies only the cells written since then
+ * plus the dirty registers (arch/checkpoint.hh), so a spawn costs the
+ * cells that changed, not the size of the delta.
  *
  * Nothing the master does can affect correctness; it can be stopped,
  * squashed and restarted at any fork-site PC (the entry map).
@@ -22,6 +26,7 @@
 #include <memory>
 
 #include "arch/arch_state.hh"
+#include "arch/checkpoint.hh"
 #include "arch/mmio.hh"
 #include "arch/state_delta.hh"
 #include "distill/distiller.hh"
@@ -84,13 +89,16 @@ class MasterCore final : public ExecContext
      * If the instruction is a FORK: site-arrival counters always
      * update; when the fork must spawn, *fork_out is filled with the
      * original start PC, the end-condition data for the *previous*
-     * task and a checkpoint snapshot, and WantsFork is returned.
+     * task and a checkpoint snapshot, and WantsFork is returned. The
+     * snapshot is rebuilt in place, so a caller that reuses one
+     * ForkInfo (and swaps the checkpoint into the task) reuses the
+     * diff's storage.
      */
     struct ForkInfo
     {
         uint32_t origPc = 0;
         uint32_t endVisitsForPrev = 1;
-        std::shared_ptr<const StateDelta> checkpoint;
+        Checkpoint checkpoint;
     };
     /** Inline: the machine steps spawning FORKs through here (runSlice
      *  covers everything else); the FORK case is out of line
@@ -169,13 +177,26 @@ class MasterCore final : public ExecContext
     uint64_t forkInsts() const { return fork_insts_; }
 
     /** Current write-delta size (checkpoint cost model + tests):
-     *  buffered memory writes plus dirty registers. */
+     *  buffered memory writes plus dirty registers. A snapshot's
+     *  size() equals it. */
     size_t
     deltaSize() const
     {
         return delta_.size() +
                static_cast<size_t>(__builtin_popcount(dirty_regs_));
     }
+
+    /** Build the checkpoint snapshot into @p out (a spawning FORK
+     *  does this): buffered memory writes plus every dirty register's
+     *  current value, as the shared base plus a diff (re-basing first
+     *  when the cells written since the base have grown past a share
+     *  of the delta). */
+    void snapshotCheckpoint(Checkpoint &out);
+
+    /** Cells copied into checkpoints so far (per-spawn diffs plus
+     *  re-based bases): the host cost of snapshotting, for tests and
+     *  experiments. */
+    uint64_t checkpointCellsCopied() const { return cells_copied_; }
 
     /**
      * Drop delta entries whose value equals current architected state
@@ -238,6 +259,7 @@ class MasterCore final : public ExecContext
         if (isMmio(addr))
             return;   // device writes are real side effects: drop
         delta_.set(makeMemCell(addr), v);
+        since_base_.set(makeMemCell(addr), v);
     }
     uint32_t
     fetch(uint32_t pc) override
@@ -255,10 +277,6 @@ class MasterCore final : public ExecContext
     const ArchState &arch_;
     /** Predecode cache over the distilled image (private I-space). */
     DecodeCache decode_{dist_.prog};
-
-    /** Build the checkpoint snapshot: buffered memory writes plus
-     *  every dirty register's current value. */
-    std::shared_ptr<const StateDelta> snapshotCheckpoint() const;
 
     /** The FORK case of step() (arrival counting + spawn decision). */
     MasterStep stepFork(const Instruction &inst, ForkInfo *fork_out);
@@ -302,6 +320,13 @@ class MasterCore final : public ExecContext
     /** Buffered *memory* writes since restart (registers are tracked
      *  by dirty_regs_ and live in regs_). */
     StateDelta delta_;
+    /** Immutable copy of delta_ taken at the last re-base, shared by
+     *  every checkpoint since (null = empty). Invariant:
+     *  delta_ == base_ ← since_base_. */
+    std::shared_ptr<const StateDelta> base_;
+    /** The memory cells written since base_, with current values. */
+    StateDelta since_base_;
+    uint64_t cells_copied_ = 0;
     /** Bit r set: register r was written since the last restart and
      *  its value differs (conservatively) from architected state. */
     uint32_t dirty_regs_ = 0;

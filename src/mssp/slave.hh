@@ -4,8 +4,9 @@
  *
  * A slave executes one task of the *original* program. Reads are
  * satisfied, in priority order, from the task's own write buffer, the
- * already-recorded live-ins, the master's checkpoint, and finally
- * architected state (read-through, charged archReadLatency cycles).
+ * already-recorded live-ins, the master's checkpoint (its per-spawn
+ * diff, then its shared base), and finally architected state
+ * (read-through, charged archReadLatency cycles).
  * Every first read of a cell is recorded in the task's live-in set;
  * the verify/commit unit later checks that set against architected
  * state, which is exactly the paper's memoization-style commit test.
@@ -69,11 +70,9 @@ class TaskContext final : public ExecContext
         StateDelta::Cursor c = task_.liveIn.lookup(cell);
         if (c.found)
             return task_.liveIn.valueAt(c);
-        if (task_.checkpoint) {
-            if (auto v = task_.checkpoint->get(cell)) {
-                task_.liveIn.insertAt(c, cell, *v);
-                return *v;
-            }
+        if (auto v = task_.checkpoint.get(cell)) {
+            task_.liveIn.insertAt(c, cell, *v);
+            return *v;
         }
         uint32_t value = arch_.readCell(cell);
         ++task_.archReads;

@@ -15,8 +15,7 @@
 
 #include <array>
 #include <cstdint>
-#include <memory>
-
+#include "arch/checkpoint.hh"
 #include "arch/state_delta.hh"
 #include "exec/context.hh"
 #include "isa/isa.hh"
@@ -66,7 +65,7 @@ struct Task
     bool runToHalt = false;
 
     /** Master-predicted live-ins (diff against architected state). */
-    std::shared_ptr<const StateDelta> checkpoint;
+    Checkpoint checkpoint;
 
     /** Values actually consumed, recorded at first read. */
     StateDelta liveIn;
@@ -109,7 +108,8 @@ struct Task
     /**
      * Return the task to its freshly-constructed state, keeping the
      * flat maps' (and output buffer's) allocated capacity so recycled
-     * tasks skip the early grow-rehash churn entirely.
+     * tasks skip the early grow-rehash churn entirely. The maps clear
+     * in O(bindings), not O(capacity).
      */
     void
     reset()
@@ -120,7 +120,7 @@ struct Task
         endPc = 0;
         endVisits = 1;
         runToHalt = false;
-        checkpoint.reset();
+        checkpoint.clear();
         liveIn.clear();
         liveOut.clear();
         outputs.clear();

@@ -48,7 +48,6 @@ struct SlaveFixture : public ::testing::Test
     {
         Task t;
         t.startPc = start_pc;
-        t.checkpoint = std::make_shared<const StateDelta>();
         return t;
     }
 
@@ -72,9 +71,9 @@ TEST_F(SlaveFixture, ReadPriorityLocalThenCheckpointThenArch)
     arch.writeMem(0x100, 1);
 
     Task t = makeTask(0);
-    auto ckpt = std::make_shared<StateDelta>();
-    ckpt->set(makeMemCell(0x100), 2);
-    t.checkpoint = ckpt;
+    StateDelta ckpt;
+    ckpt.set(makeMemCell(0x100), 2);
+    t.checkpoint = Checkpoint(std::move(ckpt));
 
     TaskContext ctx(t, arch);
     // Checkpoint wins over arch.
@@ -89,6 +88,36 @@ TEST_F(SlaveFixture, ReadPriorityLocalThenCheckpointThenArch)
     // Reads not covered by the checkpoint go to arch and count.
     EXPECT_EQ(ctx.readMem(0x101), 0u);
     EXPECT_EQ(t.archReads, 1u);
+}
+
+TEST_F(SlaveFixture, CheckpointDiffWinsOverSharedBase)
+{
+    loadSource("halt\n");
+    arch.writeMem(0x300, 1);
+    arch.writeMem(0x302, 9);
+
+    StateDelta base_cells;
+    base_cells.set(makeMemCell(0x300), 2);
+    base_cells.set(makeMemCell(0x301), 4);
+    auto base = std::make_shared<const StateDelta>(base_cells);
+    std::array<uint32_t, NumRegs> regs{};
+    regs[reg::S1] = 77;
+    regs[reg::S2] = 88;   // not in the mask: no prediction
+    arch.writeReg(reg::S2, 5);
+    Task t = makeTask(0);
+    StateDelta &diff =
+        t.checkpoint.rebuild(base, regs, 1u << reg::S1, 3);
+    diff.set(makeMemCell(0x300), 3);
+    ASSERT_EQ(t.checkpoint.flatten().size(), t.checkpoint.size());
+
+    TaskContext ctx(t, arch);
+    EXPECT_EQ(ctx.readMem(0x300), 3u);   // diff over base
+    EXPECT_EQ(ctx.readMem(0x301), 4u);   // base over arch
+    EXPECT_EQ(ctx.readMem(0x302), 9u);   // neither: arch
+    EXPECT_EQ(ctx.readReg(reg::S1), 77u);   // diff register
+    EXPECT_EQ(ctx.readReg(reg::S2), 5u);    // masked out: arch
+    EXPECT_EQ(t.archReads, 2u);
+    EXPECT_EQ(t.liveIn.get(makeMemCell(0x300)).value(), 3u);
 }
 
 TEST_F(SlaveFixture, LiveInRecordsFirstValueOnly)

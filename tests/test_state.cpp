@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <optional>
 #include <unordered_map>
 
 #include "arch/arch_state.hh"
@@ -117,10 +118,35 @@ randomCell(Rng &rng)
     }
 }
 
+/**
+ * @p d holds exactly the bindings of @p model: same size, lookups
+ * agree, and iteration (the used-slot log) yields each live binding
+ * exactly once.
+ */
+template <typename Model>
+void
+expectSameBindings(const StateDelta &d, const Model &model)
+{
+    ASSERT_EQ(d.size(), model.size());
+    ASSERT_EQ(d.empty(), model.empty());
+    std::map<CellId, uint32_t> seen;
+    for (const auto &[cell, value] : d) {
+        ASSERT_TRUE(seen.emplace(cell, value).second)
+            << cellToString(cell) << " iterated twice";
+        auto it = model.find(cell);
+        ASSERT_NE(it, model.end()) << cellToString(cell);
+        ASSERT_EQ(value, it->second);
+    }
+    ASSERT_EQ(seen.size(), model.size());
+    for (const auto &[cell, value] : model)
+        ASSERT_EQ(d.get(cell), std::optional<uint32_t>(value));
+}
+
 // Model-based property test of the open-addressing flat map: a long
-// random op sequence (set / setIfAbsent / erase / clear / grow) must
-// agree with std::unordered_map at every point, across rehashes and
-// tombstone reuse.
+// random op sequence (set / setIfAbsent / erase / clear / grow /
+// copy) must agree with std::unordered_map at every point, across
+// rehashes, tombstone reuse and the used-slot log that clear() and
+// iteration walk.
 TEST(StateDeltaFlatMap, AgreesWithReferenceModel)
 {
     Rng rng(0xfeedu);
@@ -130,7 +156,7 @@ TEST(StateDeltaFlatMap, AgreesWithReferenceModel)
     for (int step = 0; step < 20000; ++step) {
         CellId cell = randomCell(rng);
         auto value = static_cast<uint32_t>(rng.next());
-        switch (rng.below(6)) {
+        switch (rng.below(8)) {
           case 0:
           case 1:
             d.set(cell, value);
@@ -155,6 +181,36 @@ TEST(StateDeltaFlatMap, AgreesWithReferenceModel)
             }
             break;
           }
+          case 5:
+            if (rng.chance(0.02)) {
+                // Grow-rehash in the middle of the sequence: drops
+                // the tombstones and rebuilds the log in order.
+                d.reserve(d.size() + rng.below(300));
+            }
+            break;
+          case 6:
+            if (rng.chance(0.02)) {
+                // A copy mutated independently of its source.
+                StateDelta copy = d;
+                auto copy_model = model;
+                for (int i = 0; i < 40; ++i) {
+                    CellId c = randomCell(rng);
+                    if (rng.chance(0.3)) {
+                        copy.erase(c);
+                        copy_model.erase(c);
+                    } else {
+                        copy.set(c, i);
+                        copy_model[c] = i;
+                    }
+                }
+                expectSameBindings(copy, copy_model);
+                expectSameBindings(d, model);
+                if (rng.chance(0.5)) {
+                    d = std::move(copy);
+                    model = std::move(copy_model);
+                }
+            }
+            break;
           default:
             if (rng.chance(0.01)) {
                 d.clear();
@@ -163,22 +219,50 @@ TEST(StateDeltaFlatMap, AgreesWithReferenceModel)
             break;
         }
         ASSERT_EQ(d.size(), model.size());
+        if (step % 16 == 0)
+            expectSameBindings(d, model);
     }
+    expectSameBindings(d, model);
+}
 
-    // Iteration visits exactly the live entries.
-    size_t seen = 0;
-    for (const auto &[cell, value] : d) {
-        auto it = model.find(cell);
-        ASSERT_NE(it, model.end());
-        ASSERT_EQ(value, it->second);
-        ++seen;
+// Erase leaves a tombstone in the used-slot log; a later insert that
+// reuses it must not log the slot twice, and clear() must empty every
+// logged slot so the table is reusable.
+TEST(StateDeltaFlatMap, TombstoneReuseAndClearKeepLogExact)
+{
+    StateDelta d;
+    std::map<CellId, uint32_t> model;
+    for (uint32_t i = 0; i < 40; ++i) {
+        d.set(makeMemCell(i), i);
+        model[makeMemCell(i)] = i;
     }
-    ASSERT_EQ(seen, model.size());
+    for (uint32_t i = 0; i < 40; i += 3) {
+        d.erase(makeMemCell(i));
+        model.erase(makeMemCell(i));
+    }
+    expectSameBindings(d, model);
+    // Re-insert the erased cells: each probe passes its own
+    // tombstone, so every insert lands in a tombstone slot.
+    for (uint32_t i = 0; i < 40; i += 3) {
+        d.set(makeMemCell(i), 100 + i);
+        model[makeMemCell(i)] = 100 + i;
+    }
+    expectSameBindings(d, model);
+    d.clear();
+    model.clear();
+    expectSameBindings(d, model);
+    EXPECT_TRUE(d.begin() == d.end());
+    for (uint32_t i = 0; i < 10; ++i) {
+        d.set(makeRegCell(i), i);
+        model[makeRegCell(i)] = i;
+    }
+    expectSameBindings(d, model);
 }
 
 // The algebraic laws the commit unit relies on (the randomized law
 // suite lives in test_formal_properties.cpp; this instance targets
-// flat-map internals: collisions, growth, tombstones).
+// flat-map internals: collisions, growth, tombstones and their reuse,
+// the used-slot log, copies and clear()).
 TEST(StateDeltaFlatMap, LawsSurviveCollisionsAndTombstones)
 {
     Rng rng(0x5eedu);
@@ -195,12 +279,20 @@ TEST(StateDeltaFlatMap, LawsSurviveCollisionsAndTombstones)
             b.set(cb, vb);
             mb[cb] = vb;
         }
-        // Churn: erase some of a's cells again (leaves tombstones).
+        // Churn: erase some of a's cells again (leaves tombstones),
+        // then re-bind a few (reuses them).
         for (int i = 0; i < 20; ++i) {
             CellId c = randomCell(rng);
             a.erase(c);
             ma.erase(c);
         }
+        for (int i = 0; i < 8; ++i) {
+            CellId c = randomCell(rng);
+            auto v = static_cast<uint32_t>(rng.next());
+            a.set(c, v);
+            ma[c] = v;
+        }
+        expectSameBindings(a, ma);
 
         // superimposed(a, b): b's bindings win, a's fill the rest.
         StateDelta c = StateDelta::superimposed(a, b);
@@ -212,11 +304,21 @@ TEST(StateDeltaFlatMap, LawsSurviveCollisionsAndTombstones)
             }
         }
         ASSERT_EQ(c.size(), StateDelta::superimposed(b, a).size());
+        // The superimposition is a copy: a is untouched by it.
+        expectSameBindings(a, ma);
 
         // a and b are each consistent with the superimposition where
         // it retained their bindings; c covers b entirely.
         ASSERT_TRUE(b.consistentWith(c));
         ASSERT_EQ(a == b, ma == mb);
+
+        // clear() then reuse: the cleared table behaves as new.
+        c.clear();
+        ASSERT_TRUE(c.empty());
+        ASSERT_TRUE(c.begin() == c.end());
+        c.superimpose(b);
+        ASSERT_EQ(c, b);
+        expectSameBindings(c, mb);
     }
 }
 
